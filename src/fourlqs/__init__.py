@@ -13,7 +13,7 @@ from .engine import (Branch, EngineOptions, EngineStats, Instantiation,
                      select_pb_literal)
 from .baselines import GroundClause, ground_expand, saturate_foke, saturate_ke
 from .hocqa import (Answer, AnswerSet, StaleBranchError, TaskArityError,
-                    answer, match_literal, task_query)
+                    answer, task_query)
 from .oracle import (BoundsExceededError, Interpretation, OracleBounds,
                      brute_answers, enumerate_models, extract_model,
                      is_consistent, model_check, reference_saturate)

@@ -18,12 +18,12 @@ from typing import List, Optional
 from .bench import BenchConfig, InvalidConfigError, ParityViolationError, run_bench
 from .core import FourlqsError
 from .dlfront import UnsupportedAxiomError, parse_dl, translate_kb
-from .engine import EngineOptions, ResourceLimitError, saturate
+from .engine import EngineOptions, ModelBuilder, ResourceLimitError, saturate
 from .hocqa import TaskArityError, answer, task_query
 from .oracle import (BoundsExceededError, OracleBounds, brute_answers,
-                     extract_model, is_consistent)
+                     is_consistent)
 from .syntax import (ParseError, parse_kb, parse_query, render_answer_set,
-                     render_kb, render_model_report)
+                     render_kb)
 
 _TASKS = {"A": "role-filler", "B": "concept-retrieval", "C": "role-instance",
           "D": "cqa"}
@@ -123,10 +123,8 @@ def _cmd_check(args) -> int:
 def _cmd_models(args) -> int:
     kb = parse_kb(args.kb.read_text())
     result = saturate(kb, _options(args, collect=True), engine=args.engine)
-    reports = []
-    for br, sigma in result.open_complete:
-        interp = extract_model(br, sigma, kb)
-        reports.append(json.loads(render_model_report(interp)))
+    build = ModelBuilder(result.compiled)
+    reports = [build.report(br) for br, _sigma in result.open_complete]
     print(json.dumps({"models": reports}, sort_keys=True))
     return 0
 

@@ -476,3 +476,11 @@ def free_vars(f):
     else:
         raise TypeError(f"free_vars not defined on {type(f).__name__}")
     return frozenset(v0), frozenset(v1), frozenset(v3)
+
+
+def answer_key(binding: Substitution, merges: Substitution):
+    """Canonical hashable form of one answer: sorted (name, name) items
+    of the query bindings and of the merge map."""
+    b = tuple(sorted((k.name, v.name) for k, v in binding.items()))
+    m = tuple(sorted((k.name, v.name) for k, v in merges.map0.items()))
+    return b, m

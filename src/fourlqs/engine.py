@@ -202,7 +202,12 @@ class CompiledKb:
         else:
             kind, sym, ai, bi = (KIND_IN3, sym3_ix[a.set3], ind_ix[a.first],
                                  ind_ix[a.second])
-        return (((kind * self.nsym + sym) * self.k + ai) * self.k + bi) * 2 + neg
+        return self.pack(kind, sym, ai, bi, neg)
+
+    def pack(self, kind: int, sym: int, a: int, b: int, neg: int) -> int:
+        """The literal integer of ``(kind, sym, a, b)`` with polarity bit
+        ``neg``; :meth:`fields` is its inverse."""
+        return (((kind * self.nsym + sym) * self.k + a) * self.k + b) * 2 + neg
 
     def instantiate(self, specs, tau) -> List[int]:
         """Ground one clause body under one instantiation tuple."""
@@ -285,6 +290,93 @@ class Branch:
         return f"Branch({', '.join(map(repr, self.literals))})"
 
 
+class ModelBuilder:
+    """Model reports read straight off packed branches.
+
+    ``report(branch)`` makes every check ``oracle.extract_model`` makes --
+    no complementary pair, no negated x=x, no equality between distinct
+    individuals, every clause instance over the merged individuals
+    fulfilled -- and returns the dict ``syntax.render_model_report``
+    renders for the same model: the merged individuals as domain, the
+    positive membership literals as extents.  Only the names it prints
+    are decoded; ground instances are built once per distinct merge map.
+    """
+
+    __slots__ = ("comp", "_names1", "_names3", "_fields", "_by_sigma")
+
+    def __init__(self, comp: CompiledKb):
+        self.comp = comp
+        self._names1 = [v.name for v in comp.set1s]
+        self._names3 = [v.name for v in comp.set3s]
+        self._fields: Dict[int, Tuple[int, int, int, int]] = {}
+        self._by_sigma: Dict[Tuple, Tuple[List[str], List[str], List]] = {}
+
+    def _merged(self, sigma_map: Dict[int, int]):
+        """Individual names under the merge map, the domain, and every
+        clause instance over the merged individuals."""
+        key = tuple(sorted(sigma_map.items()))
+        hit = self._by_sigma.get(key)
+        if hit is not None:
+            return hit
+        comp = self.comp
+        names = [comp.inds[sigma_map.get(i, i)].name
+                 for i in range(len(comp.inds))]
+        canon = list(dict.fromkeys(sigma_map.get(i, i)
+                                   for i in range(len(comp.inds))))
+        instances = []
+        for cl, (m, specs) in zip(comp.kb.clauses, comp.clause_specs):
+            merged = []
+            for const, ia, ib in specs:
+                kind, sym, a, b = comp.fields(const)
+                if ia < 0:
+                    a = sigma_map.get(a, a)
+                if ib < 0 and kind != KIND_IN1:
+                    b = sigma_map.get(b, b)
+                merged.append((comp.pack(kind, sym, a, b, const & 1), ia, ib))
+            for tau in itertools.product(canon, repeat=m):
+                instances.append((cl, tau, comp.instantiate(merged, tau)))
+        hit = self._by_sigma[key] = (names, [comp.inds[c].name for c in canon],
+                                     instances)
+        return hit
+
+    def report(self, branch: Branch) -> dict:
+        comp = self.comp
+        names, domain, instances = self._merged(branch.sigma_map)
+        lits = set(branch.lit_ints)
+        fields = self._fields
+        n1 = len(self._names1)
+        sets1 = {name: set() for name in self._names1}
+        sets3 = {name: set() for name in self._names3}
+        for l in branch.lit_ints:
+            if (l ^ 1) in lits:
+                raise PreconditionError("branch is closed (complementary pair)")
+            f = fields.get(l)
+            if f is None:
+                f = fields[l] = comp.fields(l)
+            kind, sym, a, b = f
+            if kind == KIND_EQ:
+                if a == b and l & 1:
+                    raise PreconditionError("branch is closed (negated x=x)")
+                if a != b and not l & 1:
+                    raise PreconditionError("branch still carries an equality "
+                                            "between distinct variables")
+            elif l & 1:
+                continue
+            elif kind == KIND_IN1:
+                sets1[self._names1[sym - 1]].add(names[a])
+            else:
+                sets3[self._names3[sym - 1 - n1]].add((names[a], names[b]))
+        for cl, tau, inst in instances:
+            if lits.isdisjoint(inst):
+                raise PreconditionError(
+                    f"branch does not fulfill {cl!r} at "
+                    f"{[comp.inds[t].name for t in tau]}")
+        return {"domain": domain,
+                "sets1": {s: sorted(e) for s, e in sets1.items()},
+                "sets3": {r: [list(p) for p in sorted(e)]
+                          for r, e in sets3.items()}}
+
+
 @dataclass(slots=True)
 class SaturationResult:
     """Outcome of a saturation run: the branch set and its statistics.
@@ -330,7 +422,8 @@ def _normalize_eqs(pairs: List[Tuple[int, int]]) -> Dict[int, int]:
 
 
 def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
-         script: Optional[Sequence[int]] = None):
+         script: Optional[Sequence[int]] = None,
+         deadline: Optional[float] = None):
     """Depth-first saturation.  Returns raw counts, stats and collected
     branch encodings; wrapped by :func:`saturate` and the worker shim.
 
@@ -338,6 +431,9 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     child, 1 = complement child); while replaying, counters and leaves
     are only attributed to this run if the remaining script is all zeros,
     so a partitioned parallel run counts every node exactly once.
+
+    ``deadline`` is an absolute ``time.perf_counter`` reading; without
+    one, ``opts.max_seconds`` counts from the start of this call.
     """
     # Split recursion depth is bounded by the branch length bound; leave
     # generous headroom but never lower the limit, and cap the raise so a
@@ -370,8 +466,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         suffix_zero[i] = suffix_zero[i + 1] and script[i] == 0
     state = {"sp": 0, "counting": suffix_zero[0]}
 
-    deadline = (time.perf_counter() + opts.max_seconds
-                if opts.max_seconds is not None else None)
+    if deadline is None and opts.max_seconds is not None:
+        deadline = time.perf_counter() + opts.max_seconds
     max_branches = opts.max_branches
     leaf_tick = [0]
 
@@ -684,6 +780,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             raise ValueError(f"unknown engine {engine!r}")
     except _Limit as lim:
         limited = str(lim)
+    except RecursionError:
+        # The explorer recurses once per split; a KB deeper than the
+        # interpreter allows is a resource limit, not a verdict.
+        limited = (f"recursion limit {sys.getrecursionlimit()} reached "
+                   f"after {counts['open'] + counts['closed']} leaves")
 
     if stats.peak_resident_formulae == 0:
         stats.peak_resident_formulae = len(order) + base_resident
@@ -696,9 +797,13 @@ def _assemble(kb: KnowledgeBase, comp: CompiledKb, engine: str,
     stats.wall_seconds = wall
     collected.sort()
     branches = []
+    sigmas: Dict[Tuple, Substitution] = {}  # most branches share a merge map
     for lit_ints, sigma_items in collected:
         br = Branch(comp, lit_ints, dict(sigma_items))
-        branches.append((br, br.sigma))
+        sigma = sigmas.get(sigma_items)
+        if sigma is None:
+            sigma = sigmas[sigma_items] = br.sigma
+        branches.append((br, sigma))
     result = SaturationResult(
         kb=kb, engine=engine, open_complete=branches,
         open_count=counts["open"], closed_count=counts["closed"],

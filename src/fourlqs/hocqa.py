@@ -1,13 +1,17 @@
 """Higher-order conjunctive query answering over saturated branch sets.
 
 A query is a conjunction of literals whose slots may hold query variables
-of any sort (individual, set, relation).  For every open complete branch
-the engine produced, a depth-first stack search instantiates the query
-one conjunct at a time: the leftmost remaining conjunct is matched
-purely syntactically against the branch literals, each match extends the
-substitution and is pushed, and a node with no remaining conjuncts emits
-the composition of the branch's merge map with the accumulated binding.
-An unmatched conjunct simply abandons that node.
+of any sort (individual, set, relation).  Answering is homomorphism
+search on the packed encoding: each conjunct is compiled once against the
+branch set's CompiledKb into an integer pattern (kind, polarity, and per
+slot a symbol, an individual or a query variable), with its individual
+constants rewritten through each branch's merge map.  For every open
+complete branch a depth-first search matches the leftmost remaining
+pattern against the branch integers -- building the candidate literals
+and testing membership when they are few, scanning the branch otherwise
+-- and a node with no remaining pattern records its binding.  Bindings
+are deduplicated as integer tuples per merge map, and only the unique
+answers are decoded.
 
 The answer set is the deduplicated union over branches.  It depends only
 on the branch literal sets, so any of the three engines feeds it equally
@@ -17,14 +21,15 @@ set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (SORT0, SORT1, SORT3, Eq, FourlqsError, KnowledgeBase,
                    Literal, Member1, Member3, Substitution, Variable,
-                   apply_substitution, atom_vars)
-from .engine import Branch, SaturationResult
-from .oracle import answer_key
+                   answer_key)
+from .engine import (KIND_EQ, KIND_IN1, KIND_IN3, Branch, CompiledKb,
+                     SaturationResult)
 from .syntax import Query, parse_query
 
 
@@ -65,128 +70,171 @@ class AnswerSet:
         return iter(self.answers)
 
 
-def _set_symbol(atom) -> Optional[Variable]:
+def _slots(atom) -> Tuple[int, Optional[Variable], Variable,
+                          Optional[Variable]]:
+    """(kind, set symbol or None, first individual, second individual or
+    None) of an atom, in the order the packed encoding lays them out."""
+    if isinstance(atom, Eq):
+        return KIND_EQ, None, atom.left, atom.right
     if isinstance(atom, Member1):
-        return atom.set1
-    if isinstance(atom, Member3):
-        return atom.set3
-    return None
+        return KIND_IN1, atom.set1, atom.elem, None
+    return KIND_IN3, atom.set3, atom.first, atom.second
 
 
-class BranchIndex:
-    """Branch literals bucketed by (atom shape, polarity, set symbol) so
-    per-conjunct matching touches only shape-compatible literals; a
-    second bucketing without the symbol serves conjuncts whose set slot
-    is itself a query variable."""
+class _Plan:
+    """A query compiled against one CompiledKb.
 
-    def __init__(self, literals: Sequence[Literal]):
-        self.by_shape: Dict[Tuple, List[Literal]] = {}
-        self.by_symbol: Dict[Tuple, List[Literal]] = {}
-        for t in literals:
-            shape_key = (type(t.atom), t.positive)
-            self.by_shape.setdefault(shape_key, []).append(t)
-            self.by_symbol.setdefault(shape_key + (_set_symbol(t.atom),),
-                                      []).append(t)
-
-    def candidates(self, q: Literal, qvars) -> List[Literal]:
-        shape_key = (type(q.atom), q.positive)
-        sym = _set_symbol(q.atom)
-        if sym is not None and sym not in qvars:
-            return self.by_symbol.get(shape_key + (sym,), [])
-        return self.by_shape.get(shape_key, [])
-
-
-def match_literal(q: Literal, branch, qvars=None) -> List[Substitution]:
-    """All substitutions of the query variables of ``q`` under which the
-    instantiated literal occurs on the branch, in branch order.
-
-    Matching is syntactic: polarity and atom shape must agree and every
-    non-variable slot must be the identical symbol.  ``branch`` may be a
-    Branch, a literal sequence, or a prebuilt :class:`BranchIndex`.
+    Query variables are numbered by first appearance (conjunct order,
+    then slot order); a conjunct becomes a pattern ``(kind, neg, sym, a,
+    b)`` whose slots hold a symbol or individual position, or ``~i`` for
+    query variable ``i``.  ``impossible`` marks a constant the KB does
+    not know, which no branch literal can match.
     """
-    if qvars is None:
-        qvars = frozenset(v for v in atom_vars(q.atom)
-                          if v.name.startswith("?"))
-    if isinstance(branch, BranchIndex):
-        index = branch
-    else:
-        lits = branch.literals if isinstance(branch, Branch) else branch
-        index = BranchIndex(list(lits))
-    out: List[Substitution] = []
-    seen = set()
-    qa = q.atom
-    for t in index.candidates(q, qvars):
-        rho = _unify_atoms(qa, t.atom, qvars)
-        if rho is None:
-            continue
-        key = tuple(sorted((k.name, v.name) for k, v in rho.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        m0 = {k: v for k, v in rho.items() if k.sort == SORT0}
-        m1 = {k: v for k, v in rho.items() if k.sort == SORT1}
-        m3 = {k: v for k, v in rho.items() if k.sort == SORT3}
-        out.append(Substitution(map0=m0, map1=m1, map3=m3))
-    return out
 
+    def __init__(self, q: Query, comp: CompiledKb):
+        self.comp = comp
+        qvars = q.query_vars()
+        n1 = len(comp.set1s)
+        ind_ix = {v: i for i, v in enumerate(comp.inds)}
+        sym_ix = {v: 1 + i for i, v in enumerate(comp.set1s)}
+        sym_ix.update({v: 1 + n1 + i for i, v in enumerate(comp.set3s)})
+        self.vars: List[Variable] = []
+        var_ix: Dict[Variable, int] = {}
+        self.impossible = False
 
-def _unify_atoms(qa, ta, qvars) -> Optional[Dict[Variable, Variable]]:
-    rho: Dict[Variable, Variable] = {}
+        def slot(v: Optional[Variable], table) -> int:
+            if v is None:
+                return 0
+            if v in qvars:
+                if v not in var_ix:
+                    var_ix[v] = len(self.vars)
+                    self.vars.append(v)
+                return ~var_ix[v]
+            if v not in table:
+                self.impossible = True
+                return 0
+            return table[v]
 
-    def slot(qv: Variable, tv: Variable) -> bool:
-        if qv in qvars:
-            bound = rho.get(qv)
-            if bound is None:
-                rho[qv] = tv
-                return True
-            return bound is tv
-        return qv is tv
+        self.patterns = []
+        for c in q.conjuncts:
+            kind, sym, a, b = _slots(c.atom)
+            a_slot = slot(a, ind_ix)
+            b_slot = slot(b, ind_ix)
+            sym_slot = slot(sym, sym_ix)
+            self.patterns.append((kind, 0 if c.positive else 1, sym_slot,
+                                  a_slot, b_slot))
+        inds = range(len(comp.inds))
+        self.domains = [inds if v.sort == SORT0
+                        else range(1, 1 + n1) if v.sort == SORT1
+                        else range(1 + n1, comp.nsym) for v in self.vars]
+        self._merged: Dict[Tuple, List[Tuple]] = {(): self.patterns}
 
-    if isinstance(qa, Eq):
-        ok = slot(qa.left, ta.left) and slot(qa.right, ta.right)
-    elif isinstance(qa, Member1):
-        ok = slot(qa.elem, ta.elem) and slot(qa.set1, ta.set1)
-    else:
-        ok = (slot(qa.first, ta.first) and slot(qa.second, ta.second)
-              and slot(qa.set3, ta.set3))
-    return rho if ok else None
+    def merged(self, sigma_items: Tuple) -> List[Tuple]:
+        """The patterns with their individual constants rewritten through
+        a branch's merge map."""
+        hit = self._merged.get(sigma_items)
+        if hit is None:
+            sigma = dict(sigma_items)
+            hit = self._merged[sigma_items] = [
+                (kind, neg, sym,
+                 a if a < 0 else sigma.get(a, a),
+                 b if b < 0 or kind == KIND_IN1 else sigma.get(b, b))
+                for kind, neg, sym, a, b in self.patterns]
+        return hit
+
+    def bindings(self, patterns: List[Tuple], branch: Branch, out: set) -> None:
+        """Add to ``out`` every binding, as a tuple of values in variable
+        order, under which all patterns occur on the branch."""
+        comp = self.comp
+        pack = comp.pack
+        domains = self.domains
+        lits = branch.lit_ints
+        litset = set(lits)
+        env: List[Optional[int]] = [None] * len(self.vars)
+        npat = len(patterns)
+
+        def search(i: int) -> None:
+            if i == npat:
+                out.add(tuple(env))
+                return
+            kind, neg, *slots = patterns[i]
+            values = [s if s >= 0 else env[~s] for s in slots]
+            free = list(dict.fromkeys(~s for s, v in zip(slots, values)
+                                      if v is None))
+            if not free:
+                if pack(kind, *values, neg) in litset:
+                    search(i + 1)
+                return
+            probes = 1
+            for x in free:
+                probes *= len(domains[x])
+            if probes <= len(lits):
+                # Few candidate literals: build each and test membership.
+                for combo in itertools.product(*(domains[x] for x in free)):
+                    for x, v in zip(free, combo):
+                        env[x] = v
+                    if pack(kind, *(s if s >= 0 else env[~s] for s in slots),
+                            neg) in litset:
+                        search(i + 1)
+            else:
+                # Many candidates: scan the branch instead.
+                for l in lits:
+                    if l & 1 != neg:
+                        continue
+                    lkind, *lvals = comp.fields(l)
+                    if lkind != kind:
+                        continue
+                    for x in free:
+                        env[x] = None
+                    for s, v in zip(slots, lvals):
+                        want = s if s >= 0 else env[~s]
+                        if want is None:
+                            env[~s] = v
+                        elif want != v:
+                            break
+                    else:
+                        search(i + 1)
+            for x in free:
+                env[x] = None
+
+        search(0)
+
+    def decode(self, values: Tuple[int, ...]) -> Substitution:
+        comp = self.comp
+        n1 = len(comp.set1s)
+        maps = {SORT0: {}, SORT1: {}, SORT3: {}}
+        for v, x in zip(self.vars, values):
+            maps[v.sort][v] = (comp.inds[x] if v.sort == SORT0
+                               else comp.set1s[x - 1] if v.sort == SORT1
+                               else comp.set3s[x - 1 - n1])
+        return Substitution(map0=maps[SORT0], map1=maps[SORT1],
+                            map3=maps[SORT3])
 
 
 def answer(q: Query, result: SaturationResult) -> AnswerSet:
-    """Run the decision-tree search over every branch in the saturation
-    result and return the deduplicated answer set."""
+    """Match the query against every branch in the saturation result and
+    return the deduplicated answer set."""
     if q.kb is not None and q.kb is not result.kb:
         raise StaleBranchError("query was parsed against a different "
                                "knowledge base than the branch set")
     if not result.collected:
         raise StaleBranchError("the saturation result did not collect "
                                "branches (collect_branches was off)")
-    qvars = q.query_vars()
-    found: Dict[Tuple, Answer] = {}
+    plan = _Plan(q, result.compiled)
+    if plan.impossible:
+        return AnswerSet(())
+    # Bindings found per merge map, deduplicated as integer tuples.
+    found: Dict[Tuple, Tuple[Substitution, set]] = {}
     for br, sigma in result.open_complete:
-        index = BranchIndex(br.literals)
-        seeded = tuple(apply_substitution(c, sigma) for c in q.conjuncts)
-        # Stack of (accumulated binding, remaining instantiated conjuncts).
-        stack: List[Tuple[Substitution, Tuple[Literal, ...]]] = [
-            (Substitution(), seeded)]
-        while stack:
-            acc, remaining = stack.pop()
-            if not remaining:
-                ans = Answer(binding=acc, merges=sigma)
-                found.setdefault(ans.key(), ans)
-                continue
-            head, rest = remaining[0], remaining[1:]
-            for rho in match_literal(head, index, qvars):
-                stack.append((_merge(acc, rho),
-                              tuple(apply_substitution(c, rho) for c in rest)))
-    ordered = [found[k] for k in sorted(found)]
-    return AnswerSet(tuple(ordered))
-
-
-def _merge(acc: Substitution, rho: Substitution) -> Substitution:
-    return Substitution(map0={**acc.map0, **rho.map0},
-                        map1={**acc.map1, **rho.map1},
-                        map3={**acc.map3, **rho.map3})
+        sigma_items = tuple(sorted(br.sigma_map.items()))
+        entry = found.get(sigma_items)
+        if entry is None:
+            entry = found[sigma_items] = (sigma, set())
+        plan.bindings(plan.merged(sigma_items), br, entry[1])
+    answers = [Answer(binding=plan.decode(values), merges=sigma)
+               for sigma, bindings in found.values() for values in bindings]
+    answers.sort(key=Answer.key)
+    return AnswerSet(tuple(answers))
 
 
 TASK_KINDS = ("role-filler", "concept-retrieval", "role-instance", "cqa")

@@ -19,7 +19,7 @@ Three independent instruments live here:
   sets, no trail, no cursors, no statistics) and query answering by
   exhaustive enumeration of all sort-respecting substitutions against
   it.  This is the oracle for everything branch-shaped: the optimised
-  engines and the stack-driven query search must reproduce it exactly.
+  engines and the packed query matcher must reproduce it exactly.
 
 None of this is built for speed; it exists to be checked by eye.
 """
@@ -32,8 +32,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (SORT0, SORT1, SORT3, Eq, FourlqsError, KnowledgeBase,
                    Literal, Member1, Member3, PreconditionError, Substitution,
-                   UniversalClause, apply_substitution, complement,
-                   substitution0)
+                   UniversalClause, answer_key, apply_substitution,
+                   complement, substitution0)
 from .syntax import Query
 
 
@@ -577,11 +577,3 @@ def brute_answers(kb: KnowledgeBase, q: Query,
             if all(apply_substitution(c, binding) in litset for c in conj):
                 out.add(answer_key(binding, br.sigma))
     return out
-
-
-def answer_key(binding: Substitution, merges: Substitution):
-    """Canonical hashable form of one answer: sorted (name, name) items
-    of the query bindings and of the merge map."""
-    b = tuple(sorted((k.name, v.name) for k, v in binding.items()))
-    m = tuple(sorted((k.name, v.name) for k, v in merges.map0.items()))
-    return b, m

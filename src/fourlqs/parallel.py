@@ -11,15 +11,16 @@ statistics and (normalised) branch list a serial run produces.
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import List, Tuple
+import time
+from typing import List, Optional, Tuple
 
 from .core import KnowledgeBase
 
 _WORKER_STATE = {}
 
 
-def _init_worker(kb_text: str, engine: str, opts_tuple):
-    from .engine import CompiledKb, EngineOptions
+def _init_worker(kb_text: str, engine: str, opts, deadline: Optional[float]):
+    from .engine import CompiledKb
     from .syntax import parse_kb
 
     # The KB travels as text; parsing it back reproduces the parent's
@@ -27,23 +28,31 @@ def _init_worker(kb_text: str, engine: str, opts_tuple):
     # some conjunct, and individuals ride the ind line), so the literal
     # integers the workers return mean the same thing in the parent.
     kb = parse_kb(kb_text)
-    opts = EngineOptions(max_branches=opts_tuple[0], max_seconds=opts_tuple[1],
-                         workers=1, collect_branches=opts_tuple[2])
     _WORKER_STATE["comp"] = CompiledKb(kb)
     _WORKER_STATE["opts"] = opts
     _WORKER_STATE["engine"] = engine
+    _WORKER_STATE["deadline"] = deadline
 
 
 def _explore_script(script: Tuple[int, ...]):
     from .engine import _run
 
     return _run(_WORKER_STATE["comp"], _WORKER_STATE["opts"],
-                _WORKER_STATE["engine"], script=script)
+                _WORKER_STATE["engine"], script=script,
+                deadline=_WORKER_STATE["deadline"])
 
 
 def run_parallel(kb: KnowledgeBase, comp, engine: str, opts, workers: int):
-    """Explore the tableau with a process pool; same totals as serial."""
-    from .engine import EngineStats
+    """Explore the tableau with a process pool; same totals as serial.
+
+    Limits are run-wide: ``max_seconds`` becomes one absolute
+    ``perf_counter`` deadline shared by every worker (the clock is
+    system-wide), and the pool is terminated as soon as a worker trips a
+    limit or the merged leaf count reaches ``max_branches``.  Each script
+    still gets the whole branch budget, so a tripped run may report up to
+    twice ``max_branches`` leaves.
+    """
+    from .engine import EngineOptions, EngineStats
     from .syntax import render_kb
 
     depth = 1
@@ -54,8 +63,11 @@ def run_parallel(kb: KnowledgeBase, comp, engine: str, opts, workers: int):
         for i in range(1 << depth)
     ]
 
-    per_worker_branches = opts.max_branches
-    opts_tuple = (per_worker_branches, opts.max_seconds, opts.collect_branches)
+    deadline = (time.perf_counter() + opts.max_seconds
+                if opts.max_seconds is not None else None)
+    worker_opts = EngineOptions(max_branches=opts.max_branches,
+                                max_seconds=opts.max_seconds, workers=1,
+                                collect_branches=opts.collect_branches)
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                          else "spawn")
     counts = {"open": 0, "closed": 0}
@@ -63,7 +75,8 @@ def run_parallel(kb: KnowledgeBase, comp, engine: str, opts, workers: int):
     collected = []
     limited = None
     with ctx.Pool(workers, initializer=_init_worker,
-                  initargs=(render_kb(kb), engine, opts_tuple)) as pool:
+                  initargs=(render_kb(kb), engine, worker_opts,
+                            deadline)) as pool:
         for w_counts, w_stats, w_collected, w_limited in pool.imap(
                 _explore_script, scripts):
             counts["open"] += w_counts["open"]
@@ -78,6 +91,11 @@ def run_parallel(kb: KnowledgeBase, comp, engine: str, opts, workers: int):
             stats.peak_resident_formulae = max(stats.peak_resident_formulae,
                                                w_stats.peak_resident_formulae)
             collected.extend(w_collected)
-            if w_limited and not limited:
+            leaves = counts["open"] + counts["closed"]
+            if w_limited:
                 limited = w_limited
+            elif opts.max_branches is not None and leaves > opts.max_branches:
+                limited = f"branch limit {opts.max_branches} reached"
+            if limited:
+                break  # leaving the with block terminates the pool
     return counts, stats, collected, limited

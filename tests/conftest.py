@@ -25,6 +25,11 @@ lit (in x A)
 lit (not (in y A))
 """
 
+# 320 individuals and one two-quantifier clause: a single branch needs
+# 102,400 splits, deeper than Python's recursion limit.
+DEEP_KB = ("ind " + " ".join(f"i{j}" for j in range(320)) + "\n"
+           "clause (forall z1 z2) (or (rel z1 z2 R) (rel z2 z1 S))\n")
+
 
 @pytest.fixture(scope="session")
 def italy_kb():

@@ -6,7 +6,7 @@ import pytest
 
 from fourlqs.cli import main
 
-from conftest import CONTRADICTION_KB, ITALY_DL, ITALY_KB
+from conftest import CONTRADICTION_KB, DEEP_KB, ITALY_DL, ITALY_KB
 
 
 @pytest.fixture()
@@ -45,6 +45,12 @@ class TestCheck:
 
     def test_resource_limit_exit_code(self, italy_file):
         assert main(["check", str(italy_file), "--max-branches", "1"]) == 3
+
+    def test_recursion_limit_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "deep.4lqs"
+        path.write_text(DEEP_KB)
+        assert main(["check", str(path)]) == 3
+        assert "recursion limit" in capsys.readouterr().err
 
     def test_engines_agree(self, italy_file, capsys):
         outs = set()

@@ -1,6 +1,7 @@
 """Saturation engine: rule operations, the worked example, equality
 phase, determinism, bounds and limits."""
 
+import json
 import random
 
 import pytest
@@ -12,9 +13,10 @@ from fourlqs import (EngineOptions, Instantiation, Literal, Member3,
                      var3)
 from fourlqs.bench import gen_random_kb
 from fourlqs.core import Eq, Member1, PreconditionError, var1
+from fourlqs.engine import Branch, ModelBuilder
 from fourlqs.oracle import is_consistent, reference_saturate
 
-from conftest import CONTRADICTION_KB, MERGE_KB
+from conftest import CONTRADICTION_KB, DEEP_KB, MERGE_KB
 
 
 def rel(a, b, r, positive=True):
@@ -268,6 +270,32 @@ class TestDeterminismAndLimits:
                     checked += 1
         assert checked > 10
 
+    def test_parallel_branch_limit_is_run_wide(self):
+        from fourlqs.bench import BenchConfig, gen_family
+        kb = parse_kb(gen_family(BenchConfig(individuals=4, clauses=1)))
+        with pytest.raises(ResourceLimitError) as err:
+            saturate(kb, EngineOptions(max_branches=1000, workers=2,
+                                       collect_branches=False))
+        partial = err.value.partial
+        assert 1000 <= partial.open_count + partial.closed_count < 2000
+
+    def test_parallel_time_limit_is_run_wide(self):
+        import time
+        from fourlqs.bench import BenchConfig, gen_family
+        kb = parse_kb(gen_family(BenchConfig(individuals=4, clauses=1)))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="time limit"):
+            saturate(kb, EngineOptions(max_seconds=1.0, workers=2,
+                                       collect_branches=False))
+        assert time.perf_counter() - start < 2.0
+
+    def test_recursion_limit_is_a_resource_limit(self):
+        # One split per (z1, z2) pair on a single branch: 320 individuals
+        # go deeper than the interpreter's recursion limit allows.
+        kb = parse_kb(DEEP_KB)
+        with pytest.raises(ResourceLimitError, match="recursion limit"):
+            saturate(kb, EngineOptions(collect_branches=False))
+
     def test_worker_cap_from_environment(self, monkeypatch):
         from fourlqs.engine import _effective_workers
         monkeypatch.setenv("REASONER_THREADS", "1")
@@ -333,3 +361,92 @@ class TestModelLevelSoundness:
                 assert model_check(m, derived)
             fired += 1
         assert fired >= 10
+
+
+def _reference_reports(result, kb):
+    from fourlqs.oracle import extract_model
+    from fourlqs.syntax import render_model_report
+    return [json.loads(render_model_report(extract_model(br, sigma, kb)))
+            for br, sigma in result.open_complete]
+
+
+def _packed_reports(result):
+    build = ModelBuilder(result.compiled)
+    return [build.report(br) for br, _ in result.open_complete]
+
+
+class TestModelBuilder:
+    """The packed model builder against ``oracle.extract_model``."""
+
+    def test_random_corpus_matches_reference(self):
+        rng = random.Random(7301)
+        merged = models = 0
+        for _ in range(100):
+            kb = parse_kb(gen_random_kb(rng))
+            res = saturate(kb)
+            assert _packed_reports(res) == _reference_reports(res, kb)
+            models += res.open_count
+            merged += sum(1 for br, _ in res.open_complete if br.sigma_map)
+        assert models > 100 and merged > 0
+
+    @pytest.mark.parametrize("individuals", [1, 2, 3])
+    def test_product_family_matches_reference(self, individuals):
+        from fourlqs.bench import BenchConfig, gen_family
+        kb = parse_kb(gen_family(BenchConfig(individuals=individuals,
+                                             clauses=1)))
+        res = saturate(kb)
+        assert _packed_reports(res) == _reference_reports(res, kb)
+
+    @pytest.mark.parametrize("text", [MERGE_KB,
+                                      "ind a b\nlit (eq a b)\nlit (in a A)"])
+    def test_merge_kbs_match_reference(self, text):
+        kb = parse_kb(text)
+        res = saturate(kb)
+        assert _packed_reports(res) == _reference_reports(res, kb)
+
+    def test_translated_functional_ontology_matches_reference(self):
+        from fourlqs.dlfront import parse_dl, translate_kb
+        from fourlqs.syntax import render_kb
+        kb = parse_kb(render_kb(translate_kb(parse_dl(
+            "fun R\nrole a b R\nrole a c R\nrole c a S\nassert b A\n"
+            "subsume A B\n"))))
+        res = saturate(kb)
+        assert any(br.sigma_map for br, _ in res.open_complete)
+        assert _packed_reports(res) == _reference_reports(res, kb)
+
+    def _branch(self, text, lits, sigma_map=None):
+        from fourlqs.engine import CompiledKb
+        kb = parse_kb(text)
+        comp = CompiledKb(kb)
+        return ModelBuilder(comp), Branch(comp, tuple(comp.encode(l)
+                                                       for l in lits),
+                                          sigma_map or {})
+
+    def test_complementary_pair_rejected(self):
+        a_in = Literal(True, Member1(var0("a"), var1("A")))
+        build, br = self._branch("lit (in a A)", [a_in, complement(a_in)])
+        with pytest.raises(PreconditionError, match="complementary"):
+            build.report(br)
+
+    def test_negated_trivial_equality_rejected(self):
+        build, br = self._branch("lit (not (eq a a))",
+                                 [Literal(False, Eq(var0("a"), var0("a")))])
+        with pytest.raises(PreconditionError, match="x=x"):
+            build.report(br)
+
+    def test_equality_between_distinct_individuals_rejected(self):
+        build, br = self._branch("lit (eq a b)",
+                                 [Literal(True, Eq(var0("a"), var0("b")))])
+        with pytest.raises(PreconditionError, match="equality"):
+            build.report(br)
+
+    def test_unfulfilled_instance_rejected(self):
+        text = "ind a b\nclause (forall z1) (or (in z1 A))"
+        a_in = Literal(True, Member1(var0("a"), var1("A")))
+        build, br = self._branch(text, [a_in])
+        with pytest.raises(PreconditionError, match="does not fulfill"):
+            build.report(br)
+        # Merging b into a leaves a single instance, which a_in fulfils.
+        build, br = self._branch(text, [a_in], {1: 0})
+        assert build.report(br) == {"domain": ["a"], "sets1": {"A": ["a"]},
+                                    "sets3": {}}

@@ -1,17 +1,17 @@
 """Query answering: matching, the decision-tree search, retrieval tasks."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from fourlqs import parse_kb, parse_query, saturate, var0, var3
+from fourlqs import parse_kb, parse_query, saturate, var0, var1, var3
 from fourlqs.baselines import saturate_foke, saturate_ke
 from fourlqs.bench import gen_random_kb, gen_random_query
 from fourlqs.core import Literal, Member1, Member3
-from fourlqs.hocqa import (StaleBranchError, TaskArityError, answer,
-                           match_literal, task_query)
-from fourlqs.oracle import brute_answers
+from fourlqs.hocqa import StaleBranchError, TaskArityError, answer, task_query
+from fourlqs.oracle import OracleBounds, brute_answers
 from fourlqs.syntax import Query
 
 from conftest import MERGE_KB
@@ -33,33 +33,44 @@ def _neg_branch(result):
     raise AssertionError("negative branch not found")
 
 
-class TestMatchLiteral:
+def _on_branch(result, br):
+    """The saturation result narrowed to one of its branches."""
+    return dataclasses.replace(
+        result, open_complete=[(b, s) for b, s in result.open_complete
+                               if b is br])
+
+
+class TestAnswerOnOneBranch:
+    """Single-conjunct queries against one Italy branch: what the packed
+    matcher binds, slot by slot."""
+
     def test_positive_branch_two_matches(self, italy_kb, italy_result):
         q = parse_query("(rel Rome Italy ?r)", italy_kb)
-        rhos = match_literal(q.conjuncts[0], _pos_branch(italy_result))
-        values = {rho.map3[var3("?r")].name for rho in rhos}
+        ans = answer(q, _on_branch(italy_result, _pos_branch(italy_result)))
+        values = {a.binding.map3[var3("?r")].name for a in ans}
         assert values == {"locatedIn", "isPartOf"}
 
     def test_negative_branch_no_match(self, italy_kb, italy_result):
         q = parse_query("(rel Rome Italy ?r)", italy_kb)
-        assert match_literal(q.conjuncts[0], _neg_branch(italy_result)) == []
+        ans = answer(q, _on_branch(italy_result, _neg_branch(italy_result)))
+        assert len(ans) == 0
 
     def test_ground_conjunct_matches_with_epsilon(self, italy_kb, italy_result):
         q = parse_query("(rel Rome Rome isPartOf)", italy_kb)
-        rhos = match_literal(q.conjuncts[0], _pos_branch(italy_result))
-        assert len(rhos) == 1 and rhos[0].is_empty()
+        ans = answer(q, _on_branch(italy_result, _pos_branch(italy_result)))
+        assert len(ans) == 1 and ans.answers[0].binding.is_empty()
 
     def test_repeated_variable_within_literal(self, italy_kb, italy_result):
         q = parse_query("(rel ?v ?v isPartOf)", italy_kb)
-        rhos = match_literal(q.conjuncts[0], _pos_branch(italy_result))
-        values = {rho.map0[var0("?v")].name for rho in rhos}
+        ans = answer(q, _on_branch(italy_result, _pos_branch(italy_result)))
+        values = {a.binding.map0[var0("?v")].name for a in ans}
         assert values == {"Italy", "Rome"}
 
     def test_polarity_respected(self, italy_kb, italy_result):
         q = parse_query("(not (rel ?a ?b locatedIn))", italy_kb)
-        rhos = match_literal(q.conjuncts[0], _neg_branch(italy_result))
-        pairs = {(r.map0[var0("?a")].name, r.map0[var0("?b")].name)
-                 for r in rhos}
+        ans = answer(q, _on_branch(italy_result, _neg_branch(italy_result)))
+        pairs = {(a.binding.map0[var0("?a")].name,
+                  a.binding.map0[var0("?b")].name) for a in ans}
         assert pairs == {("Italy", "Rome"), ("Rome", "Italy")}
 
 
@@ -120,6 +131,12 @@ class TestAnswer:
         with pytest.raises(StaleBranchError):
             answer(q, res)
 
+    def test_constant_unknown_to_the_kb_matches_nothing(self, italy_kb,
+                                                         italy_result):
+        q = Query((Literal(True, Member1(var0("Paris"), var1("?c"))),),
+                  (), (var1("?c"),), (), kb=italy_kb)
+        assert len(answer(q, italy_result)) == 0
+
     def test_inconsistent_kb_has_no_answers(self):
         kb = parse_kb(MERGE_KB)
         res = saturate(kb)
@@ -165,3 +182,18 @@ class TestAgreementSample:
             assert answer(q, res).keys() == brute_answers(kb, q)
             checked += 1
         assert checked == 40
+
+    def test_wide_kb_agrees_with_brute_force(self):
+        # Six individuals and few literals per branch: a conjunct with
+        # two free individual slots has more candidate literals than the
+        # branch has literals, so the matcher scans the branch instead of
+        # probing candidates.
+        kb = parse_kb("ind a b c d e f\nlit (rel a b R)\nlit (eq c d)\n"
+                      "clause (forall z1) (or (in z1 A) (rel z1 a R))\n")
+        res = saturate(kb)
+        bounds = OracleBounds(max_individuals=6, max_set1=1, max_set3=1,
+                              max_candidates=10 ** 6)
+        for text in ("(rel ?x ?y R)", "(rel ?x ?y ?r) (not (in ?y A))",
+                     "(rel ?x ?x ?r)", "(not (eq ?x ?y)) (in ?x ?c)"):
+            q = parse_query(text, kb)
+            assert answer(q, res).keys() == brute_answers(kb, q, bounds)

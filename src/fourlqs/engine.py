@@ -421,11 +421,17 @@ def _normalize_eqs(pairs: List[Tuple[int, int]]) -> Dict[int, int]:
         work = [(sigma.get(x, x), sigma.get(y, y)) for x, y in work]
 
 
+class ProbeExpired(Exception):
+    """Raised by :func:`_run` at the first leaf after its ``probe``
+    deadline; what the run gathered until then is discarded."""
+
+
 def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
          script: Optional[Sequence[int]] = None,
-         deadline: Optional[float] = None):
+         deadline: Optional[float] = None,
+         probe: Optional[float] = None):
     """Depth-first saturation.  Returns raw counts, stats and collected
-    branch encodings; wrapped by :func:`saturate` and the worker shim.
+    branch encodings; wrapped by :func:`saturate` and :mod:`.parallel`.
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child); while replaying, counters and leaves
@@ -434,15 +440,9 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
 
     ``deadline`` is an absolute ``time.perf_counter`` reading; without
     one, ``opts.max_seconds`` counts from the start of this call.
+    ``probe``, also absolute, makes the first counted leaf past it raise
+    :class:`ProbeExpired`.
     """
-    # Split recursion depth is bounded by the branch length bound; leave
-    # generous headroom but never lower the limit, and cap the raise so a
-    # pathological bound cannot ask for an unservable C stack (resource
-    # limits trip long before such depths are reachable).
-    want = min(comp.length_bound + 2000, 100_000)
-    if sys.getrecursionlimit() < want:
-        sys.setrecursionlimit(want)
-
     jobs = comp.jobs
     njobs = len(jobs)
     instances = comp.instances
@@ -481,6 +481,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         if deadline is not None and leaf_tick[0] % 1024 == 0 \
                 and time.perf_counter() > deadline:
             raise _Limit(f"time limit {opts.max_seconds}s exceeded")
+        if probe is not None and time.perf_counter() > probe:
+            raise ProbeExpired
 
     def closed_leaf():
         if state["counting"]:
@@ -766,6 +768,14 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         del eqlits[se:]
         del resident[sr:]
 
+    # Split recursion depth is bounded by the branch length bound; leave
+    # generous headroom but never lower the limit, and cap the raise so a
+    # pathological bound cannot ask for an unservable C stack (resource
+    # limits trip long before such depths are reachable).  The caller's
+    # limit comes back when the run ends.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit,
+                              min(comp.length_bound + 2000, 100_000)))
     limited = None
     try:
         if root_closed:
@@ -785,6 +795,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         # interpreter allows is a resource limit, not a verdict.
         limited = (f"recursion limit {sys.getrecursionlimit()} reached "
                    f"after {counts['open'] + counts['closed']} leaves")
+    finally:
+        sys.setrecursionlimit(old_limit)
 
     if stats.peak_resident_formulae == 0:
         stats.peak_resident_formulae = len(order) + base_resident
@@ -837,10 +849,10 @@ def saturate(kb: KnowledgeBase, opts: Optional[EngineOptions] = None,
     comp = CompiledKb(kb)
     start = time.perf_counter()
     workers = _effective_workers(opts)
-    if workers > 1 and len(comp.jobs) > 0:
+    if workers > 1:
         from .parallel import run_parallel
         counts, stats, collected, limited = run_parallel(
-            kb, comp, engine, opts, workers)
+            comp, engine, opts, workers)
     else:
         counts, stats, collected, limited = _run(comp, opts, engine)
     wall = time.perf_counter() - start

@@ -2,7 +2,9 @@
 phase, determinism, bounds and limits."""
 
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -304,6 +306,138 @@ class TestDeterminismAndLimits:
         assert _effective_workers(EngineOptions(workers=3)) == 3
         monkeypatch.delenv("REASONER_THREADS")
         assert _effective_workers(EngineOptions(workers=2)) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recursion_limit_restored(self, workers):
+        # 60 individuals need a recursion limit of about 9,200.
+        kb = parse_kb("ind " + " ".join(f"i{j}" for j in range(60)) + "\n"
+                      "clause (forall z1 z2) (or (rel z1 z2 R) (rel z2 z1 S))\n")
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # an earlier run may have raised it
+        try:
+            with pytest.raises(ResourceLimitError, match="branch limit"):
+                saturate(kb, EngineOptions(max_branches=10, workers=workers,
+                                           collect_branches=False))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(before)
+
+
+# Literals for the product family at 4 individuals: with neither it has
+# 1,948,324 branches, with the first 124,755 and with both 7,058.
+NOT_A = "lit (not (in a A))\n"
+NOT_AB = NOT_A + "lit (not (in b A))\n"
+
+
+def _paper_kb(literals):
+    from fourlqs.bench import BenchConfig, gen_family
+    return parse_kb(gen_family(BenchConfig(individuals=4, clauses=1))
+                    + literals)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of helpers forked while the test runs."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+class TestForkedParallel:
+    """KBs that outlast the serial probe, so helpers are forked."""
+
+    def _assert_same(self, serial, parallel):
+        assert (serial.open_count, serial.closed_count) == \
+            (parallel.open_count, parallel.closed_count)
+        for name in ("rule_apps", "pb_apps", "peak_stack_depth"):
+            assert getattr(serial.stats, name) == \
+                getattr(parallel.stats, name), name
+        assert [(br.lit_ints, br.sigma_map) for br, _ in serial.open_complete] \
+            == [(br.lit_ints, br.sigma_map)
+                for br, _ in parallel.open_complete]
+
+    def test_product_family_equals_serial(self, forks):
+        kb = _paper_kb(NOT_A)
+        serial = saturate(kb)
+        parallel = saturate(kb, EngineOptions(workers=2))
+        assert forks and serial.open_count == 124_755
+        self._assert_same(serial, parallel)
+        _assert_no_children()
+
+    def test_translated_ontology_equals_serial(self, forks):
+        from fourlqs.dlfront import parse_dl, translate_kb
+        from fourlqs.syntax import render_kb
+        kb = parse_kb(render_kb(translate_kb(parse_dl(
+            "fun R\nirref S\nsome R A B\nall B S A\n"
+            "role a b R\nrole b c S\nassert c A\nassert a B\n"))))
+        serial = saturate(kb)
+        parallel = saturate(kb, EngineOptions(workers=2))
+        assert forks
+        assert serial.closed_count > 0
+        assert any(br.sigma_map for br, _ in serial.open_complete)
+        self._assert_same(serial, parallel)
+
+    def test_small_kb_never_forks(self, italy_kb, monkeypatch):
+        def no_fork():
+            raise OSError("fork unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        serial = saturate(italy_kb)
+        self._assert_same(serial, saturate(italy_kb, EngineOptions(workers=2)))
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_parent_alone_without_fork(self, monkeypatch, fork):
+        kb = _paper_kb(NOT_AB)
+        serial = saturate(kb)
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def failing_fork():
+                raise BlockingIOError("Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", failing_fork)
+        self._assert_same(serial, saturate(kb, EngineOptions(workers=2)))
+
+    @pytest.mark.parametrize("limits", [
+        {"max_seconds": 0.2}, {"max_branches": 20_000}, {}])
+    def test_no_helper_outlives_the_run(self, forks, limits):
+        kb = _paper_kb("" if limits else NOT_AB)
+        opts = EngineOptions(workers=2, collect_branches=False, **limits)
+        if limits:
+            with pytest.raises(ResourceLimitError):
+                saturate(kb, opts)
+        else:
+            saturate(kb, opts)
+        assert forks
+        _assert_no_children()
+
+    def test_lost_helper_raises(self, forks, monkeypatch):
+        from fourlqs import parallel
+        parent = os.getpid()
+        real_run = parallel._run
+
+        def dying_run(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(0)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_run", dying_run)
+        with pytest.raises(parallel.HelperLostError):
+            saturate(_paper_kb(NOT_AB), EngineOptions(workers=2,
+                                                      collect_branches=False))
+        assert forks
+        _assert_no_children()
 
 
 class TestModelLevelSoundness:

@@ -28,6 +28,18 @@ instantiation order (clauses in KB order, tuples lexicographic in
 individual order) and the same equality-normalisation phase, so branch
 counts and branch literal sets agree across engines.
 
+The equality phase runs at every complete branch that holds an x=y
+literal: the equalities collapse to order-minimal representatives (the
+merge map) and the branch is rewritten through it, closing at its first
+complementary pair or negated x=x.  Many leaves share an equality
+sequence, so one run memoises, per sequence, the merge map and one
+rewrite table per distinct map (literal integer to rewritten integer,
+filled on first use).  The caches exist only for KBs that mention
+equality and are cleared when they reach ``EQ_CACHE_CAP`` entries.
+
+``max_seconds`` is a deadline taken when :func:`saturate` starts, before
+the KB is compiled, and read at every leaf.
+
 Internally literals are packed into integers: atom ids are assigned at
 compile time in a fixed order shared by all engines (so branch encodings
 are comparable), and the low bit carries polarity, making complement a
@@ -40,8 +52,8 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (Eq, FourlqsError, KnowledgeBase, Literal, Member1,
@@ -421,6 +433,66 @@ def _normalize_eqs(pairs: List[Tuple[int, int]]) -> Dict[int, int]:
         work = [(sigma.get(x, x), sigma.get(y, y)) for x, y in work]
 
 
+# Entries the equality phase may cache in one run (equality sequences
+# plus rewrite-table entries) before it starts afresh.  A keg saturation
+# of the ontology-query KB (1,290 merged leaves) fills 131: 17 sequences
+# and 114 rewrites.  The cap only keeps a wide KB's caches from growing
+# with its tree.
+EQ_CACHE_CAP = 1 << 16
+
+
+class _RewriteTable(dict):
+    """Literal integer -> its image under one merge map, filled on first
+    use."""
+
+    __slots__ = ("cache", "sigma")
+
+    def __init__(self, cache: "_MergeCache", sigma: Dict[int, int]):
+        super().__init__()
+        self.cache = cache
+        self.sigma = sigma
+
+    def __missing__(self, lit_int: int) -> int:
+        self.cache.grow()
+        r = self[lit_int] = self.cache.comp.rewrite(lit_int, self.sigma)
+        return r
+
+
+class _MergeCache:
+    """The equality phase's memo for one run.
+
+    ``by_eqs`` maps a branch's equality sequence to its merge map's sorted
+    items and rewrite table.  :func:`_normalize_eqs` sends every class to
+    its minimum, so the map depends only on the classes, and sequences
+    with the same classes share one table (``by_map``).
+    """
+
+    __slots__ = ("comp", "by_eqs", "by_map", "size")
+
+    def __init__(self, comp: "CompiledKb"):
+        self.comp = comp
+        self.by_eqs: Dict[Tuple, Tuple[Tuple, _RewriteTable]] = {}
+        self.by_map: Dict[Tuple, Tuple[Tuple, _RewriteTable]] = {}
+        self.size = 0
+
+    def grow(self) -> None:
+        if self.size >= EQ_CACHE_CAP:
+            self.by_eqs.clear()
+            self.by_map.clear()
+            self.size = 0
+        self.size += 1
+
+    def add(self, eqs: Tuple[Tuple[int, int], ...]):
+        self.grow()
+        sigma = _normalize_eqs(eqs)
+        items = tuple(sorted(sigma.items()))
+        hit = self.by_map.get(items)
+        if hit is None:
+            hit = self.by_map[items] = (items, _RewriteTable(self, sigma))
+        self.by_eqs[eqs] = hit
+        return hit
+
+
 class ProbeExpired(Exception):
     """Raised by :func:`_run` at the first leaf after its ``probe``
     deadline; what the run gathered until then is discarded."""
@@ -438,8 +510,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     are only attributed to this run if the remaining script is all zeros,
     so a partitioned parallel run counts every node exactly once.
 
-    ``deadline`` is an absolute ``time.perf_counter`` reading; without
-    one, ``opts.max_seconds`` counts from the start of this call.
+    ``deadline`` is the absolute ``perf_counter`` reading at which
+    ``opts.max_seconds`` runs out; every counted leaf checks it.
     ``probe``, also absolute, makes the first counted leaf past it raise
     :class:`ProbeExpired`.
     """
@@ -455,6 +527,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     neg_eq_diag = comp.neg_eq_diag
     kdim = comp.k
     length_bound = comp.length_bound
+    merges = _MergeCache(comp) if has_eq else None
+    by_eqs = merges.by_eqs if has_eq else None
 
     stats = EngineStats()
     counts = {"open": 0, "closed": 0}
@@ -466,22 +540,17 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         suffix_zero[i] = suffix_zero[i + 1] and script[i] == 0
     state = {"sp": 0, "counting": suffix_zero[0]}
 
-    if deadline is None and opts.max_seconds is not None:
-        deadline = time.perf_counter() + opts.max_seconds
     max_branches = opts.max_branches
-    leaf_tick = [0]
 
     class _Limit(Exception):
         pass
 
     def leaf_budget():
-        leaf_tick[0] += 1
         if max_branches is not None and counts["open"] + counts["closed"] >= max_branches:
             raise _Limit(f"branch limit {max_branches} reached")
-        if deadline is not None and leaf_tick[0] % 1024 == 0 \
-                and time.perf_counter() > deadline:
+        if deadline is not None and perf_counter() > deadline:
             raise _Limit(f"time limit {opts.max_seconds}s exceeded")
-        if probe is not None and time.perf_counter() > probe:
+        if probe is not None and perf_counter() > probe:
             raise ProbeExpired
 
     def closed_leaf():
@@ -510,23 +579,24 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         if res > stats.peak_resident_formulae:
             stats.peak_resident_formulae = res
         if eqlits:
-            sigma = _normalize_eqs(eqlits)
-            if sigma:
-                rewritten = []
-                seen = set()
-                for l in order:
-                    r = comp.rewrite(l, sigma)
-                    if r not in seen:
-                        seen.add(r)
-                        rewritten.append(r)
-                for r in seen:
+            # The equality phase: rewrite the branch through its merge map
+            # and close it at the first complementary pair or negated x=x.
+            key = tuple(eqlits)
+            sigma_items, table = by_eqs.get(key) or merges.add(key)
+            rewritten = []
+            seen = set()
+            for l in order:
+                r = table[l]
+                if r not in seen:
                     if (r ^ 1) in seen or r in neg_eq_diag:
                         counts["closed"] += 1
                         return
-                counts["open"] += 1
-                if collect:
-                    collected.append((tuple(rewritten), tuple(sorted(sigma.items()))))
-                return
+                    seen.add(r)
+                    rewritten.append(r)
+            counts["open"] += 1
+            if collect:
+                collected.append((tuple(rewritten), sigma_items))
+            return
         counts["open"] += 1
         if collect:
             collected.append((tuple(order), ()))
@@ -843,19 +913,23 @@ def saturate(kb: KnowledgeBase, opts: Optional[EngineOptions] = None,
 
     Deterministic given identical options: exploration order is fixed and
     the returned branch list is normalised, so it is also independent of
-    the worker count.
+    the worker count.  ``opts.max_seconds`` counts from the start of this
+    call, compile included; ``stats.wall_seconds`` excludes compile.
     """
     opts = opts or EngineOptions()
+    deadline = (perf_counter() + opts.max_seconds
+                if opts.max_seconds is not None else None)
     comp = CompiledKb(kb)
-    start = time.perf_counter()
+    start = perf_counter()
     workers = _effective_workers(opts)
     if workers > 1:
         from .parallel import run_parallel
         counts, stats, collected, limited = run_parallel(
-            comp, engine, opts, workers)
+            comp, engine, opts, workers, deadline)
     else:
-        counts, stats, collected, limited = _run(comp, opts, engine)
-    wall = time.perf_counter() - start
+        counts, stats, collected, limited = _run(comp, opts, engine,
+                                                 deadline=deadline)
+    wall = perf_counter() - start
     return _assemble(kb, comp, engine, opts, counts, stats, collected,
                      limited, wall)
 

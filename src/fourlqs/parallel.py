@@ -157,25 +157,23 @@ def _pump(helpers: selectors.BaseSelector, merge: _Merge,
                 return
 
 
-def run_parallel(comp, engine: str, opts, workers: int):
+def run_parallel(comp, engine: str, opts, workers: int,
+                 deadline: Optional[float]):
     """Explore the tableau with ``workers`` processes; same totals as
     serial.
 
-    Limits are run-wide: ``max_seconds`` becomes one absolute
-    ``perf_counter`` deadline shared by every process (the clock is
-    system-wide), and every helper is killed and reaped as soon as a
-    script trips a limit or the merged leaf count passes
-    ``max_branches``.  Each script still gets the whole branch budget,
+    Limits are run-wide: ``deadline`` is the absolute ``perf_counter``
+    reading at which ``opts.max_seconds`` runs out, shared by every
+    process (the clock is system-wide), and every helper is killed and
+    reaped as soon as a script trips a limit or the merged leaf count
+    passes ``max_branches``.  Each script still gets the whole branch budget,
     so a run that trips past the probe may report up to twice
     ``max_branches`` leaves.
     """
-    start = time.perf_counter()
-    deadline = (start + opts.max_seconds
-                if opts.max_seconds is not None else None)
     try:
         return _run(comp, opts, engine, deadline=deadline,
-                    probe=start + PROBE_SECONDS if hasattr(os, "fork")
-                    else None)
+                    probe=time.perf_counter() + PROBE_SECONDS
+                    if hasattr(os, "fork") else None)
     except ProbeExpired:
         pass
 

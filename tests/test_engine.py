@@ -7,6 +7,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fourlqs import (EngineOptions, Instantiation, Literal, Member3,
                      ResourceLimitError, UniversalClause, complement, egamma,
@@ -15,7 +16,8 @@ from fourlqs import (EngineOptions, Instantiation, Literal, Member3,
                      var3)
 from fourlqs.bench import gen_random_kb
 from fourlqs.core import Eq, Member1, PreconditionError, var1
-from fourlqs.engine import Branch, ModelBuilder
+from fourlqs import engine as engine_module
+from fourlqs.engine import Branch, ModelBuilder, _normalize_eqs
 from fourlqs.oracle import is_consistent, reference_saturate
 
 from conftest import CONTRADICTION_KB, DEEP_KB, MERGE_KB
@@ -291,6 +293,39 @@ class TestDeterminismAndLimits:
                                        collect_branches=False))
         assert time.perf_counter() - start < 2.0
 
+    def test_time_limit_checked_at_every_leaf(self, monkeypatch):
+        # The engine's clock reads 0 until its 50th reading, then jumps
+        # past the deadline.  Two readings (the deadline and the explore
+        # start) come before the first leaf, and every leaf reads it once.
+        readings = []
+
+        def clock():
+            readings.append(1)
+            return 0.0 if len(readings) <= 50 else 1e9
+
+        monkeypatch.setattr(engine_module, "perf_counter", clock)
+        with pytest.raises(ResourceLimitError, match="time limit") as err:
+            saturate(_paper_kb(NOT_AB), EngineOptions(max_seconds=10.0,
+                                                      collect_branches=False))
+        partial = err.value.partial
+        assert 48 <= partial.open_count + partial.closed_count <= 50
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_time_limit_covers_compile(self, italy_kb, monkeypatch, workers):
+        now = [0.0]
+
+        class SlowCompile(engine_module.CompiledKb):
+            def __init__(self, kb):
+                super().__init__(kb)
+                now[0] += 5.0
+
+        monkeypatch.setattr(engine_module, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(engine_module, "CompiledKb", SlowCompile)
+        with pytest.raises(ResourceLimitError, match="time limit") as err:
+            saturate(italy_kb, EngineOptions(max_seconds=1.0, workers=workers))
+        partial = err.value.partial
+        assert partial.open_count + partial.closed_count == 0
+
     def test_recursion_limit_is_a_resource_limit(self):
         # One split per (z1, z2) pair on a single branch: 320 individuals
         # go deeper than the interpreter's recursion limit allows.
@@ -335,6 +370,16 @@ def _paper_kb(literals):
                     + literals)
 
 
+def _ontology_kb():
+    """The ontology-query benchmark shape: 196 open branches (14 merged)
+    and 1,276 closed."""
+    from fourlqs.dlfront import parse_dl, translate_kb
+    from fourlqs.syntax import render_kb
+    return parse_kb(render_kb(translate_kb(parse_dl(
+        "fun R\nirref S\nsome R A B\nall B S A\n"
+        "role a b R\nrole b c S\nassert c A\nassert a B\n"))))
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -376,11 +421,7 @@ class TestForkedParallel:
         _assert_no_children()
 
     def test_translated_ontology_equals_serial(self, forks):
-        from fourlqs.dlfront import parse_dl, translate_kb
-        from fourlqs.syntax import render_kb
-        kb = parse_kb(render_kb(translate_kb(parse_dl(
-            "fun R\nirref S\nsome R A B\nall B S A\n"
-            "role a b R\nrole b c S\nassert c A\nassert a B\n"))))
+        kb = _ontology_kb()
         serial = saturate(kb)
         parallel = saturate(kb, EngineOptions(workers=2))
         assert forks
@@ -438,6 +479,87 @@ class TestForkedParallel:
                                                       collect_branches=False))
         assert forks
         _assert_no_children()
+
+
+# Merging b and c into a turns (not (eq b c)) into a negated x=x, which
+# closes only the branches that merge all three.
+MERGED_DIAGONAL_KB = """\
+ind a b c
+lit (eq a c)
+lit (not (eq b c))
+clause (forall z) (or (eq z a) (in z A))
+"""
+
+
+def _equality_kbs():
+    rng = random.Random(3131)
+    texts = [t for t in (gen_random_kb(rng) for _ in range(60)) if "eq" in t]
+    texts[25:] = [MERGE_KB, MERGED_DIAGONAL_KB]
+    return [parse_kb(t) for t in texts] + [_ontology_kb()]
+
+
+def _named_branch(literals, sigma):
+    return (sorted(map(repr, literals)),
+            sorted((k.name, v.name) for k, v in sigma.map0.items()))
+
+
+class TestEqualityPhase:
+    def test_engines_match_reference_on_equality_kbs(self):
+        merged = 0
+        for kb in _equality_kbs():
+            ref_branches, ref_closed = reference_saturate(kb)
+            ref = sorted(_named_branch(b.literals, b.sigma)
+                         for b in ref_branches)
+            packed = None
+            for engine in ("keg", "ke", "foke"):
+                for workers in (1, 2):
+                    res = saturate(kb, EngineOptions(workers=workers),
+                                   engine=engine)
+                    assert (res.open_count, res.closed_count) == \
+                        (len(ref_branches), ref_closed), (engine, workers)
+                    assert sorted(_named_branch(br.literals, sigma)
+                                  for br, sigma in res.open_complete) == ref
+                    got = [(br.lit_ints, br.sigma_map)
+                           for br, _ in res.open_complete]
+                    assert packed is None or got == packed, (engine, workers)
+                    packed = got
+            merged += sum(1 for _, sigma_map in packed if sigma_map)
+        assert merged > 20
+
+    def test_cache_cap_changes_nothing(self, monkeypatch):
+        kb = _ontology_kb()
+        expected = saturate(kb)
+        monkeypatch.setattr(engine_module, "EQ_CACHE_CAP", 3)
+        capped = saturate(kb)
+        assert (capped.open_count, capped.closed_count) == \
+            (expected.open_count, expected.closed_count)
+        assert [(br.lit_ints, br.sigma_map) for br, _ in capped.open_complete] \
+            == [(br.lit_ints, br.sigma_map)
+                for br, _ in expected.open_complete]
+
+    def test_no_cache_without_equality(self, italy_kb, monkeypatch):
+        def no_cache(comp):
+            raise AssertionError("merge cache built for a KB without eq")
+
+        monkeypatch.setattr(engine_module, "_MergeCache", no_cache)
+        assert saturate(italy_kb).open_count == 2
+
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    max_size=10),
+           st.randoms(use_true_random=False))
+    def test_merge_map_is_canonical(self, pairs, rnd):
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        sigma = _normalize_eqs(pairs)
+        assert _normalize_eqs(shuffled) == sigma
+        classes = {x: {x} for pair in pairs for x in pair}
+        for a, b in pairs:
+            joined = classes[a] | classes[b]
+            for x in joined:
+                classes[x] = joined
+        for x, cls in classes.items():
+            assert sigma.get(x, x) == min(cls)
+        assert all(x in classes and x != y for x, y in sigma.items())
 
 
 class TestModelLevelSoundness:

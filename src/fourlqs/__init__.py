@@ -11,7 +11,7 @@ from .engine import (Branch, EngineOptions, EngineStats, Instantiation,
                      ResourceLimitError, SaturationResult, egamma,
                      equality_normalize, is_closed, is_fulfilled, saturate,
                      select_pb_literal)
-from .baselines import GroundClause, ground_expand, saturate_foke, saturate_ke
+from .baselines import saturate_foke, saturate_ke
 from .hocqa import (Answer, AnswerSet, StaleBranchError, TaskArityError,
                     answer, task_query)
 from .oracle import (BoundsExceededError, Interpretation, OracleBounds,

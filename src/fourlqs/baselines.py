@@ -1,55 +1,22 @@
 """The two comparison engines.
 
-``saturate_ke`` grounds every universal clause up front and then runs
-classic elimination/split steps over the stored instances;
-``saturate_foke`` instead places each ground instance on the branch when
-first needed (the standard instantiation rule) and eliminates from
-there.  Both share the split rule, closure test, instantiation order and
-equality phase with the fused-rule engine, so branch counts and branch
-literal sets are identical across all three; only the expansion-rule
-bookkeeping differs.  The shared explorer lives in ``engine``.
+``saturate_ke`` grounds every universal clause up front
+(``CompiledKb.instances``) and re-selects the first undischarged stored
+instance at every step; ``saturate_foke`` instead parks each ground
+instance on the branch when first needed (the standard instantiation
+rule) and selects among the parked ones the same way.  Both run the one
+explorer in ``engine`` with the fused-rule engine's split rule, closure
+test, instantiation order and equality phase, so branch counts and
+branch literal sets are identical across all three; only the selection
+policy differs.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from .core import (KnowledgeBase, Literal, Substitution, apply_substitution,
-                   substitution0)
-from .engine import EngineOptions, ResourceLimitError, SaturationResult, saturate
-
-
-@dataclass(frozen=True, slots=True)
-class GroundClause:
-    """One instantiation of a universal clause: its ground disjuncts plus
-    where it came from."""
-
-    disjuncts: Tuple[Literal, ...]
-    clause_index: int
-    tau: Substitution
-
-
-def ground_expand(kb: KnowledgeBase,
-                  max_instances: Optional[int] = None) -> List[GroundClause]:
-    """The preprocessing phase: every clause instantiated with every
-    tuple of KB individuals, clause order first, tuple order
-    lexicographic in individual appearance order."""
-    out: List[GroundClause] = []
-    for ci, cl in enumerate(kb.clauses):
-        for combo in itertools.product(kb.var0_order,
-                                       repeat=len(cl.quantified)):
-            tau = substitution0(dict(zip(cl.quantified, combo)))
-            out.append(GroundClause(
-                disjuncts=tuple(apply_substitution(d, tau)
-                                for d in cl.disjuncts),
-                clause_index=ci, tau=tau))
-            if max_instances is not None and len(out) > max_instances:
-                raise ResourceLimitError(
-                    f"grounding exceeded {max_instances} instances",
-                    partial=None)
-    return out
+from .core import KnowledgeBase
+from .engine import EngineOptions, SaturationResult, saturate
 
 
 def saturate_ke(kb: KnowledgeBase,

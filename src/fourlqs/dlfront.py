@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (FourlqsError, KbBuilder, KnowledgeBase, Literal, Member1,
                    Member3, Eq, UniversalClause, Variable, SORT0, SORT1, SORT3)
-from .syntax import ParseError, _LineParser, _tokenize_line
+from .syntax import LineParser, ParseError, tokenize_line
 
 
 class UnsupportedAxiomError(FourlqsError):
@@ -80,7 +80,7 @@ class _FreshNamer:
                 return Variable(SORT0, name, quantified=True)
 
 
-def _parse_cexpr(p: _LineParser) -> Cexpr:
+def _parse_cexpr(p: LineParser) -> Cexpr:
     tok = p.take()
     if tok.text != "(":
         if tok.text == "top":
@@ -111,10 +111,10 @@ def parse_dl(text: str) -> List[DlAxiom]:
     """Parse the axiom file format into a list of axioms."""
     axioms: List[DlAxiom] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize_line(raw, lineno)
+        toks = tokenize_line(raw, lineno)
         if not toks:
             continue
-        p = _LineParser(toks, lineno)
+        p = LineParser(toks, lineno)
         head = p.take()
         kw = head.text
 

@@ -1,8 +1,8 @@
 """Tableau saturation engines.
 
 Three engines share one depth-first explorer and differ only in how they
-expand universal clauses, which is exactly the comparison the benchmark
-harness isolates:
+select the next universal-clause instance for the elimination rule,
+which is exactly the comparison the benchmark harness isolates:
 
 * ``keg``  -- the fused elimination rule: each (clause, instantiation)
   pair is ground-instantiated on the fly when the explorer's clause/tau
@@ -23,10 +23,13 @@ them around and is what the fused rule avoids; scan-based selection for
 the baselines and cursor-based for keg mirrors how the respective
 calculi drive their loops, and the benchmark quantifies the difference.
 
-All three use the same split rule, the same closure test, the same
+The explorer is one loop over an explicit stack of pending complement
+children, so the split rule, the closure test, elimination, leaf
+accounting and undo are written once.  All three engines also share the
 instantiation order (clauses in KB order, tuples lexicographic in
-individual order) and the same equality-normalisation phase, so branch
-counts and branch literal sets agree across engines.
+individual order) and the equality-normalisation phase, so branch
+counts and branch literal sets agree across engines.  A KB's depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 The equality phase runs at every complete branch that holds an x=y
 literal: the equalities collapse to order-minimal representatives (the
@@ -38,7 +41,8 @@ filled on first use).  The caches exist only for KBs that mention
 equality and are cleared when they reach ``EQ_CACHE_CAP`` entries.
 
 ``max_seconds`` is a deadline taken when :func:`saturate` starts, before
-the KB is compiled, and read at every leaf.
+the KB is compiled, and read at every split and every leaf, so a tree
+whose first leaf is far away still stops on time.
 
 Internally literals are packed into integers: atom ids are assigned at
 compile time in a fixed order shared by all engines (so branch encodings
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -505,22 +508,32 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     """Depth-first saturation.  Returns raw counts, stats and collected
     branch encodings; wrapped by :func:`saturate` and :mod:`.parallel`.
 
+    One loop explores the tree for every engine.  At a split it enters
+    the fulfilling child and pushes the complement child on an explicit
+    stack as (trail length, equality count, resident count, literal,
+    cursor, depth); at a leaf it pops the next entry, undoes the branch
+    to the saved lengths and enters it.  An engine is only its ``select``
+    policy: the first instance (at or after keg's cursor) that no branch
+    literal discharges, or none.
+
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child); while replaying, counters and leaves
     are only attributed to this run if the remaining script is all zeros,
     so a partitioned parallel run counts every node exactly once.
 
     ``deadline`` is the absolute ``perf_counter`` reading at which
-    ``opts.max_seconds`` runs out; every counted leaf checks it.
-    ``probe``, also absolute, makes the first counted leaf past it raise
-    :class:`ProbeExpired`.
+    ``opts.max_seconds`` runs out; every split and every counted leaf
+    reads it.  ``probe``, also absolute, is read at the same points and
+    raises :class:`ProbeExpired` once it has passed.
     """
     jobs = comp.jobs
     njobs = len(jobs)
     instances = comp.instances
+    instantiate = comp.instantiate
     bset = set()
     order: List[int] = []
     eqlits: List[Tuple[int, int]] = []
+    resident: List[Tuple[int, ...]] = []  # foke's parked instances
     collect = opts.collect_branches
     has_eq = comp.has_eq
     eq_pos = comp.eq_pos
@@ -531,75 +544,72 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     by_eqs = merges.by_eqs if has_eq else None
 
     stats = EngineStats()
-    counts = {"open": 0, "closed": 0}
+    nopen = nclosed = 0
     collected: List[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]] = []
 
     slen = len(script) if script else 0
     suffix_zero = [True] * (slen + 1)
     for i in range(slen - 1, -1, -1):
         suffix_zero[i] = suffix_zero[i + 1] and script[i] == 0
-    state = {"sp": 0, "counting": suffix_zero[0]}
+    sp = 0
+    counting = suffix_zero[0]
 
     max_branches = opts.max_branches
+    timed = deadline is not None or probe is not None
+    time_limit = f"time limit {opts.max_seconds}s exceeded"
 
-    class _Limit(Exception):
-        pass
-
-    def leaf_budget():
-        if max_branches is not None and counts["open"] + counts["closed"] >= max_branches:
-            raise _Limit(f"branch limit {max_branches} reached")
-        if deadline is not None and perf_counter() > deadline:
-            raise _Limit(f"time limit {opts.max_seconds}s exceeded")
-        if probe is not None and perf_counter() > probe:
+    def out_of_time() -> bool:
+        now = perf_counter()
+        if deadline is not None and now > deadline:
+            return True
+        if probe is not None and now > probe:
             raise ProbeExpired
+        return False
 
-    def closed_leaf():
-        if state["counting"]:
-            leaf_budget()
-            counts["closed"] += 1
-            n = len(order)
-            if n > stats.peak_branch_literals:
-                stats.peak_branch_literals = n
-            res = n + base_resident + (len(resident) if engine == "foke" else 0)
-            if res > stats.peak_resident_formulae:
-                stats.peak_resident_formulae = res
+    # Universal clauses on the branch; ke's up-front grounding replaces
+    # them.
+    base_resident = njobs if engine == "ke" else len(comp.clause_specs)
 
-    def open_leaf(resident_count: int):
-        if not state["counting"]:
-            return
-        leaf_budget()
-        n = len(order)
-        if n > length_bound:
-            raise AssertionError(
-                f"branch grew to {n} literals, above the height bound "
-                f"{length_bound}")
-        if n > stats.peak_branch_literals:
-            stats.peak_branch_literals = n
-        res = n + resident_count
-        if res > stats.peak_resident_formulae:
-            stats.peak_resident_formulae = res
-        if eqlits:
-            # The equality phase: rewrite the branch through its merge map
-            # and close it at the first complementary pair or negated x=x.
-            key = tuple(eqlits)
-            sigma_items, table = by_eqs.get(key) or merges.add(key)
-            rewritten = []
-            seen = set()
-            for l in order:
-                r = table[l]
-                if r not in seen:
-                    if (r ^ 1) in seen or r in neg_eq_diag:
-                        counts["closed"] += 1
-                        return
-                    seen.add(r)
-                    rewritten.append(r)
-            counts["open"] += 1
-            if collect:
-                collected.append((tuple(rewritten), sigma_items))
-            return
-        counts["open"] += 1
-        if collect:
-            collected.append((tuple(order), ()))
+    # Selection policies.  keg builds the instance at the cursor when it
+    # gets there and never stores it: the cursor witnesses that every
+    # earlier job is discharged.  ke and foke keep their instances as
+    # branch formulae and re-inspect them from the first at every step,
+    # the cost the fused rule avoids; their cursor is never read.  foke
+    # parks the next job's instance on the branch when every resident is
+    # discharged, and residents pop on backtrack.
+    if engine == "keg":
+        def select(j):
+            while j < njobs:
+                specs, tau = jobs[j]
+                lits = instantiate(specs, tau)
+                if bset.isdisjoint(lits):
+                    return j, lits
+                j += 1
+            return j, None
+    elif engine == "ke":
+        def select(j):
+            for lits in instances:
+                if bset.isdisjoint(lits):
+                    return j, lits
+            return j, None
+    elif engine == "foke":
+        def select(j):
+            while True:
+                for lits in resident:
+                    if bset.isdisjoint(lits):
+                        return j, lits
+                nres = len(resident)
+                if nres == njobs:
+                    return j, None
+                specs, tau = jobs[nres]
+                resident.append(tuple(instantiate(specs, tau)))
+                if counting:
+                    stats.gamma_apps += 1
+                cur = len(order) + base_resident + nres + 1
+                if cur > stats.peak_resident_formulae:
+                    stats.peak_resident_formulae = cur
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
 
     # Root: the ground conjuncts.  A contradictory pair or a negated
     # trivial equality closes the single starting branch outright.
@@ -613,264 +623,115 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             if has_eq and l in eq_pos:
                 eqlits.append(divmod(l >> 1, kdim))
 
-    base_resident = len(comp.clause_specs)  # universal clauses on the branch
-    if engine == "ke":
-        base_resident = njobs  # the up-front grounding replaces them
-
-    def note_depth(depth: int):
-        if depth > stats.peak_stack_depth:
-            stats.peak_stack_depth = depth
-
-    # ------------------------------------------------------------------
-    # keg: fused rule, instances built per activation and never stored.
-    # Fulfillment needs no per-instance state: the job cursor is the
-    # witness that every earlier (clause, tau) pair is discharged.
-    # ------------------------------------------------------------------
-    def explore_keg(j: int, depth: int):
-        note_depth(depth)
-        while j < njobs:
-            specs, tau = jobs[j]
-            lits = comp.instantiate(specs, tau)
-            hit = False
-            for l in lits:
-                if l in bset:
-                    hit = True
-                    break
-            if hit:
-                j += 1
-                continue
-            missing = [l for l in lits if (l ^ 1) not in bset]
-            if len(missing) < 2:
-                l = missing[0] if missing else lits[0]
-                if state["counting"]:
-                    stats.rule_apps += 1
-                if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
-                    closed_leaf()
-                    return
-                bset.add(l)
-                order.append(l)
-                if has_eq and l in eq_pos:
-                    eqlits.append(divmod(l >> 1, kdim))
-                j += 1
-                continue
-            _split(missing[0], j, depth, explore_keg)
-            return
-        open_leaf(base_resident)
-
-    # ------------------------------------------------------------------
-    # ke: classic elimination over the stored grounding.  The stored
-    # instances are branch formulae, so every expansion step re-selects
-    # "the first not yet fulfilled formula" by checking the stored list
-    # against the branch content; the branch itself is the only state.
-    # Re-inspecting every stored instance at every step is the price of
-    # keeping the grounding around, and is what the fused rule avoids.
-    # ------------------------------------------------------------------
-    def explore_ke(depth: int):
-        note_depth(depth)
-        while True:
-            picked = -1
-            for i in range(njobs):
-                lits = instances[i]
-                hit = False
-                for l in lits:
-                    if l in bset:
-                        hit = True
-                        break
-                if not hit:
-                    picked = i
-                    break
-            if picked < 0:
-                open_leaf(base_resident)
-                return
-            lits = instances[picked]
-            missing = [l for l in lits if (l ^ 1) not in bset]
-            if len(missing) < 2:
-                l = missing[0] if missing else lits[0]
-                if state["counting"]:
-                    stats.rule_apps += 1
-                if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
-                    closed_leaf()
-                    return
-                _push(l)
-                continue
-            bh = missing[0]
-            if state["counting"]:
-                stats.pb_apps += 1
-            follow = None
-            if state["sp"] < slen:
-                follow = script[state["sp"]]
-                state["sp"] += 1
-                state["counting"] = suffix_zero[state["sp"]]
-            so, se = len(order), len(eqlits)
-            if follow is None or follow == 0:
-                if _push_checked(bh):
-                    closed_leaf()
-                else:
-                    explore_ke(depth + 1)
-                _undo(so, se)
-            if follow is None or follow == 1:
-                if _push_checked(bh ^ 1):
-                    closed_leaf()
-                else:
-                    explore_ke(depth + 1)
-                _undo(so, se)
-            return
-
-    # ------------------------------------------------------------------
-    # foke: the instantiation rule parks each ground disjunction on the
-    # branch before elimination touches it.  Selection scans the parked
-    # instances like ke scans its grounding; when all residents are
-    # fulfilled the next job is instantiated and parked.  Residents pop
-    # on backtrack and their count is what the memory statistics show.
-    # ------------------------------------------------------------------
-    resident: List[Tuple[int, ...]] = []
-
-    def explore_foke(depth: int):
-        note_depth(depth)
-        while True:
-            picked = -1
-            for i in range(len(resident)):
-                lits = resident[i]
-                hit = False
-                for l in lits:
-                    if l in bset:
-                        hit = True
-                        break
-                if not hit:
-                    picked = i
-                    break
-            if picked < 0:
-                nres = len(resident)
-                if nres < njobs:
-                    specs, tau = jobs[nres]
-                    resident.append(tuple(comp.instantiate(specs, tau)))
-                    if state["counting"]:
-                        stats.gamma_apps += 1
-                    cur = len(order) + base_resident + nres + 1
-                    if cur > stats.peak_resident_formulae:
-                        stats.peak_resident_formulae = cur
-                    continue
-                open_leaf(base_resident + nres)
-                return
-            lits = resident[picked]
-            missing = [l for l in lits if (l ^ 1) not in bset]
-            if len(missing) < 2:
-                l = missing[0] if missing else lits[0]
-                if state["counting"]:
-                    stats.rule_apps += 1
-                if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
-                    closed_leaf()
-                    return
-                _push(l)
-                continue
-            bh = missing[0]
-            if state["counting"]:
-                stats.pb_apps += 1
-            follow = None
-            if state["sp"] < slen:
-                follow = script[state["sp"]]
-                state["sp"] += 1
-                state["counting"] = suffix_zero[state["sp"]]
-            so, se = len(order), len(eqlits)
-            sr = len(resident)
-            if follow is None or follow == 0:
-                if _push_checked(bh):
-                    closed_leaf()
-                else:
-                    explore_foke(depth + 1)
-                _undo_foke(so, se, sr)
-            if follow is None or follow == 1:
-                if _push_checked(bh ^ 1):
-                    closed_leaf()
-                else:
-                    explore_foke(depth + 1)
-                _undo_foke(so, se, sr)
-            return
-
-    # Split helper for keg: the fulfilling child (the disjunct itself)
-    # is explored first, then the complement child, which keeps working
-    # on the same job.
-    def _split(bh: int, j: int, depth: int, cont):
-        if state["counting"]:
-            stats.pb_apps += 1
-        follow = None
-        if state["sp"] < slen:
-            follow = script[state["sp"]]
-            state["sp"] += 1
-            state["counting"] = suffix_zero[state["sp"]]
-        so, se = len(order), len(eqlits)
-        if follow is None or follow == 0:
-            if _push_checked(bh):
-                closed_leaf()
-            else:
-                cont(j + 1, depth + 1)
-            _undo(so, se)
-        if follow is None or follow == 1:
-            if _push_checked(bh ^ 1):
-                closed_leaf()
-            else:
-                cont(j, depth + 1)
-            _undo(so, se)
-
-    def _push(l: int):
-        bset.add(l)
-        order.append(l)
-        if has_eq and l in eq_pos:
-            eqlits.append(divmod(l >> 1, kdim))
-
-    def _push_checked(l: int) -> bool:
-        """Add a split literal; returns True if it closes the branch.
-        Split literals never meet their complement (the split chose them
-        for that) but a negated trivial equality still closes."""
-        if has_eq and l in neg_eq_diag:
-            return True
-        _push(l)
-        return False
-
-    def _undo(so: int, se: int):
-        while len(order) > so:
-            bset.discard(order.pop())
-        del eqlits[se:]
-
-    def _undo_foke(so: int, se: int, sr: int):
-        while len(order) > so:
-            bset.discard(order.pop())
-        del eqlits[se:]
-        del resident[sr:]
-
-    # Split recursion depth is bounded by the branch length bound; leave
-    # generous headroom but never lower the limit, and cap the raise so a
-    # pathological bound cannot ask for an unservable C stack (resource
-    # limits trip long before such depths are reachable).  The caller's
-    # limit comes back when the run ends.
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit,
-                              min(comp.length_bound + 2000, 100_000)))
+    stack: List[Tuple[int, int, int, int, int, int]] = []
     limited = None
-    try:
-        if root_closed:
-            closed_leaf()
-        elif engine == "keg":
-            explore_keg(0, 0)
-        elif engine == "ke":
-            explore_ke(0)
-        elif engine == "foke":
-            explore_foke(0)
+    leaf = True if root_closed else None  # True closed, False open
+    lit, j, depth = -1, 0, 0              # lit: the literal to add next
+    while True:
+        if leaf is not None:
+            if counting:
+                if max_branches is not None and nopen + nclosed >= max_branches:
+                    limited = f"branch limit {max_branches} reached"
+                    break
+                if timed and out_of_time():
+                    limited = time_limit
+                    break
+                n = len(order)
+                if n > stats.peak_branch_literals:
+                    stats.peak_branch_literals = n
+                res = n + base_resident + len(resident)
+                if res > stats.peak_resident_formulae:
+                    stats.peak_resident_formulae = res
+                if leaf:
+                    nclosed += 1
+                elif n > length_bound:
+                    raise AssertionError(
+                        f"branch grew to {n} literals, above the height "
+                        f"bound {length_bound}")
+                elif eqlits:
+                    # The equality phase: rewrite the branch through its
+                    # merge map and close it at the first complementary
+                    # pair or negated x=x.
+                    key = tuple(eqlits)
+                    sigma_items, table = by_eqs.get(key) or merges.add(key)
+                    rewritten = []
+                    seen = set()
+                    for l in order:
+                        r = table[l]
+                        if r not in seen:
+                            if (r ^ 1) in seen or r in neg_eq_diag:
+                                nclosed += 1
+                                break
+                            seen.add(r)
+                            rewritten.append(r)
+                    else:
+                        nopen += 1
+                        if collect:
+                            collected.append((tuple(rewritten), sigma_items))
+                else:
+                    nopen += 1
+                    if collect:
+                        collected.append((tuple(order), ()))
+            if not stack:
+                break
+            so, se, sr, lit, j, depth = stack.pop()
+            while len(order) > so:
+                bset.discard(order.pop())
+            del eqlits[se:]
+            del resident[sr:]
+            leaf = None
+        if lit >= 0:
+            # A split or elimination literal.  It never meets its
+            # complement (the step checked that) but a negated trivial
+            # equality still closes.
+            if has_eq and lit in neg_eq_diag:
+                leaf = True
+                continue
+            bset.add(lit)
+            order.append(lit)
+            if has_eq and lit in eq_pos:
+                eqlits.append(divmod(lit >> 1, kdim))
+            lit = -1
+            if depth > stats.peak_stack_depth:
+                stats.peak_stack_depth = depth
+        j, lits = select(j)
+        if lits is None:
+            leaf = False
+            continue
+        missing = [l for l in lits if (l ^ 1) not in bset]
+        if len(missing) < 2:
+            lit = missing[0] if missing else lits[0]
+            if counting:
+                stats.rule_apps += 1
+            if (lit ^ 1) in bset:
+                leaf = True
+            j += 1
+            continue
+        # Split: enter the fulfilling child (the disjunct itself, next
+        # job) and leave the complement child (same job) on the stack.
+        if timed and out_of_time():
+            limited = time_limit
+            break
+        if counting:
+            stats.pb_apps += 1
+        bh = missing[0]
+        depth += 1
+        if sp < slen:
+            follow = script[sp]
+            sp += 1
+            counting = suffix_zero[sp]
+            if follow:
+                lit = bh ^ 1
+                continue
         else:
-            raise ValueError(f"unknown engine {engine!r}")
-    except _Limit as lim:
-        limited = str(lim)
-    except RecursionError:
-        # The explorer recurses once per split; a KB deeper than the
-        # interpreter allows is a resource limit, not a verdict.
-        limited = (f"recursion limit {sys.getrecursionlimit()} reached "
-                   f"after {counts['open'] + counts['closed']} leaves")
-    finally:
-        sys.setrecursionlimit(old_limit)
+            stack.append((len(order), len(eqlits), len(resident), bh ^ 1, j,
+                          depth))
+        lit = bh
+        j += 1
 
     if stats.peak_resident_formulae == 0:
         stats.peak_resident_formulae = len(order) + base_resident
-    return counts, stats, collected, limited
+    return {"open": nopen, "closed": nclosed}, stats, collected, limited
 
 
 def _assemble(kb: KnowledgeBase, comp: CompiledKb, engine: str,

@@ -63,7 +63,8 @@ class _Tok:
         self.span = span
 
 
-def _tokenize_line(line: str, lineno: int) -> List[_Tok]:
+def tokenize_line(line: str, lineno: int) -> List[_Tok]:
+    """The tokens of one line, comment dropped, each with its span."""
     body = line.split("#", 1)[0]
     toks = []
     for m in _TOKEN.finditer(body):
@@ -71,7 +72,7 @@ def _tokenize_line(line: str, lineno: int) -> List[_Tok]:
     return toks
 
 
-class _LineParser:
+class LineParser:
     """Recursive-descent reader over one line's token list."""
 
     def __init__(self, toks: List[_Tok], lineno: int):
@@ -166,7 +167,7 @@ class _Names:
             raise ParseError(tok.span, str(err), err.kind) from None
 
 
-def _parse_atom(p: _LineParser, names: _Names, quantified_ok: bool,
+def _parse_atom(p: LineParser, names: _Names, quantified_ok: bool,
                 allow_query: bool) -> Literal:
     p.expect("(")
     head = p.take()
@@ -208,10 +209,10 @@ def parse_kb(text: str) -> KnowledgeBase:
     builder = KbBuilder()
     names = _Names(builder)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize_line(raw, lineno)
+        toks = tokenize_line(raw, lineno)
         if not toks:
             continue
-        p = _LineParser(toks, lineno)
+        p = LineParser(toks, lineno)
         head = p.take()
         if head.text == "ind":
             got = False
@@ -287,8 +288,8 @@ def parse_query(text: str, kb: KnowledgeBase) -> Query:
     names = _Names(KbBuilder(), kb=kb)
     conjuncts: List[Literal] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize_line(raw, lineno)
-        p = _LineParser(toks, lineno)
+        toks = tokenize_line(raw, lineno)
+        p = LineParser(toks, lineno)
         while not p.done():
             conjuncts.append(
                 _parse_atom(p, names, quantified_ok=False, allow_query=True))

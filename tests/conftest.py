@@ -26,7 +26,7 @@ lit (not (in y A))
 """
 
 # 320 individuals and one two-quantifier clause: a single branch needs
-# 102,400 splits, deeper than Python's recursion limit.
+# 102,400 nested splits, so its first leaf lies that deep.
 DEEP_KB = ("ind " + " ".join(f"i{j}" for j in range(320)) + "\n"
            "clause (forall z1 z2) (or (rel z1 z2 R) (rel z2 z1 S))\n")
 

@@ -2,36 +2,46 @@
 
 import random
 
-from fourlqs import parse_kb, saturate
-from fourlqs.baselines import ground_expand, saturate_foke, saturate_ke
+from fourlqs import free_vars, parse_kb, saturate
+from fourlqs.baselines import saturate_foke, saturate_ke
 from fourlqs.bench import BenchConfig, gen_family, gen_random_kb
+from fourlqs.engine import CompiledKb
 
 from conftest import CONTRADICTION_KB
 
 
+def _grounding(kb):
+    """The up-front grounding ke runs on, decoded: one tuple of ground
+    disjuncts per instance, clause order first."""
+    comp = CompiledKb(kb)
+    return [tuple(comp.decode(l) for l in inst) for inst in comp.instances]
+
+
 class TestGroundExpand:
     def test_reflexive_clause_two_individuals(self, italy_kb):
-        instances = ground_expand(italy_kb)
-        ref = [g for g in instances if g.clause_index == 0]
-        assert len(ref) == 2
-        incl = [g for g in instances if g.clause_index == 1]
-        assert len(incl) == 4
+        instances = _grounding(italy_kb)
+        assert len(instances) == 6
+        ref = [(g[0].atom.first.name, g[0].atom.second.name,
+                g[0].atom.set3.name) for g in instances[:2]]
+        assert ref == [("Italy", "Italy", "isPartOf"),
+                       ("Rome", "Rome", "isPartOf")]
+        incl = instances[2:]
+        assert len(incl) == 4 and all(len(g) == 2 for g in incl)
 
     def test_tau_order_is_lexicographic(self, italy_kb):
-        incl = [g for g in ground_expand(italy_kb) if g.clause_index == 1]
-        firsts = [(g.disjuncts[0].atom.first.name, g.disjuncts[0].atom.second.name)
+        incl = _grounding(italy_kb)[2:]
+        firsts = [(g[0].atom.first.name, g[0].atom.second.name)
                   for g in incl]
         assert firsts == [("Italy", "Italy"), ("Italy", "Rome"),
                           ("Rome", "Italy"), ("Rome", "Rome")]
 
     def test_benchmark_clause_sixteen_instances(self):
         kb = parse_kb(gen_family(BenchConfig(individuals=4, clauses=1)))
-        assert len(ground_expand(kb)) == 16
+        assert len(_grounding(kb)) == 16
 
     def test_no_quantified_variables_remain(self, italy_kb):
-        for g in ground_expand(italy_kb):
-            for d in g.disjuncts:
-                from fourlqs import free_vars
+        for g in _grounding(italy_kb):
+            for d in g:
                 v0, _, _ = free_vars(d)
                 assert all(not v.quantified for v in v0)
 

@@ -46,11 +46,11 @@ class TestCheck:
     def test_resource_limit_exit_code(self, italy_file):
         assert main(["check", str(italy_file), "--max-branches", "1"]) == 3
 
-    def test_recursion_limit_exit_code(self, tmp_path, capsys):
+    def test_deep_kb_time_limit_exit_code(self, tmp_path, capsys):
         path = tmp_path / "deep.4lqs"
         path.write_text(DEEP_KB)
-        assert main(["check", str(path)]) == 3
-        assert "recursion limit" in capsys.readouterr().err
+        assert main(["check", str(path), "--max-seconds", "0.05"]) == 3
+        assert "time limit" in capsys.readouterr().err
 
     def test_engines_agree(self, italy_file, capsys):
         outs = set()

@@ -293,10 +293,10 @@ class TestDeterminismAndLimits:
                                        collect_branches=False))
         assert time.perf_counter() - start < 2.0
 
-    def test_time_limit_checked_at_every_leaf(self, monkeypatch):
-        # The engine's clock reads 0 until its 50th reading, then jumps
-        # past the deadline.  Two readings (the deadline and the explore
-        # start) come before the first leaf, and every leaf reads it once.
+    def test_time_limit_trips_at_first_late_read(self, monkeypatch):
+        # The engine's clock reads 0 for its first 50 readings, then jumps
+        # past the deadline.  The run must stop at that 51st reading: the
+        # only reading after it is the wall time taken once the run ends.
         readings = []
 
         def clock():
@@ -307,8 +307,27 @@ class TestDeterminismAndLimits:
         with pytest.raises(ResourceLimitError, match="time limit") as err:
             saturate(_paper_kb(NOT_AB), EngineOptions(max_seconds=10.0,
                                                       collect_branches=False))
+        assert len(readings) == 52
         partial = err.value.partial
-        assert 48 <= partial.open_count + partial.closed_count <= 50
+        assert 0 < partial.open_count + partial.closed_count < 50
+
+    def test_time_limit_checked_at_splits(self, monkeypatch):
+        # Every engine clock reading is one second later than the last.
+        # DEEP_KB's first leaf lies 102,400 splits deep, so only the
+        # readings at splits can trip a ten-second budget.
+        now = [0.0]
+
+        def clock():
+            now[0] += 1.0
+            return now[0]
+
+        monkeypatch.setattr(engine_module, "perf_counter", clock)
+        with pytest.raises(ResourceLimitError, match="time limit") as err:
+            saturate(parse_kb(DEEP_KB), EngineOptions(max_seconds=10.0,
+                                                      collect_branches=False))
+        partial = err.value.partial
+        assert partial.open_count + partial.closed_count == 0
+        assert partial.stats.peak_stack_depth < 20
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_time_limit_covers_compile(self, italy_kb, monkeypatch, workers):
@@ -326,12 +345,17 @@ class TestDeterminismAndLimits:
         partial = err.value.partial
         assert partial.open_count + partial.closed_count == 0
 
-    def test_recursion_limit_is_a_resource_limit(self):
-        # One split per (z1, z2) pair on a single branch: 320 individuals
-        # go deeper than the interpreter's recursion limit allows.
-        kb = parse_kb(DEEP_KB)
-        with pytest.raises(ResourceLimitError, match="recursion limit"):
-            saturate(kb, EngineOptions(collect_branches=False))
+    def test_deep_kb_needs_no_recursion_limit(self):
+        # One split per (z1, z2) pair on a single branch: the first leaf
+        # of DEEP_KB lies 102,400 splits deep.  The explorer reaches it
+        # and trips the branch limit at the second leaf, leaving the
+        # interpreter's recursion limit alone.
+        before = sys.getrecursionlimit()
+        with pytest.raises(ResourceLimitError, match="branch limit") as err:
+            saturate(parse_kb(DEEP_KB), EngineOptions(max_branches=1,
+                                                      collect_branches=False))
+        assert err.value.partial.stats.peak_stack_depth == 102_400
+        assert sys.getrecursionlimit() == before
 
     def test_worker_cap_from_environment(self, monkeypatch):
         from fourlqs.engine import _effective_workers
@@ -344,7 +368,7 @@ class TestDeterminismAndLimits:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recursion_limit_restored(self, workers):
-        # 60 individuals need a recursion limit of about 9,200.
+        # 60 individuals: 3,600 nested splits on one branch.
         kb = parse_kb("ind " + " ".join(f"i{j}" for j in range(60)) + "\n"
                       "clause (forall z1 z2) (or (rel z1 z2 R) (rel z2 z1 S))\n")
         before = sys.getrecursionlimit()

@@ -10,6 +10,7 @@ check), 1 inconsistent, 2 usage or parse error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -110,6 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and reused:
+    building it costs more than parsing and answering a small query.
+    ``parse_args`` leaves it unchanged, so calls cannot leak into each
+    other."""
+    return build_parser()
+
+
 def _cmd_check(args) -> int:
     kb = parse_kb(args.kb.read_text())
     result = saturate(kb, _options(args, collect=False), engine=args.engine)
@@ -124,7 +134,7 @@ def _cmd_models(args) -> int:
     kb = parse_kb(args.kb.read_text())
     result = saturate(kb, _options(args, collect=True), engine=args.engine)
     build = ModelBuilder(result.compiled)
-    reports = [build.report(br) for br, _sigma in result.open_complete]
+    reports = [build.report(*branch) for branch in result.packed]
     print(json.dumps({"models": reports}, sort_keys=True))
     return 0
 
@@ -223,7 +233,7 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -120,7 +120,7 @@ class CompiledKb:
     """
 
     __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "twok",
-                 "ground_lits", "clause_specs", "jobs", "instances",
+                 "ground_lits", "clause_specs", "jobs", "_instances",
                  "eq_pos", "neg_eq_diag", "has_eq", "length_bound")
 
     def __init__(self, kb: KnowledgeBase):
@@ -173,12 +173,10 @@ class CompiledKb:
         # Jobs: (clause, tau) pairs in clause order then lexicographic tau
         # order over var0_order -- the shared instantiation discipline.
         nind = len(self.inds)
-        self.jobs: List[Tuple[Tuple, Tuple[int, ...]]] = []
-        self.instances: List[Tuple[int, ...]] = []
-        for m, specs in self.clause_specs:
-            for tau in itertools.product(range(nind), repeat=m):
-                self.jobs.append((specs, tau))
-                self.instances.append(tuple(self.instantiate(specs, tau)))
+        self.jobs: List[Tuple[Tuple, Tuple[int, ...]]] = [
+            (specs, tau) for m, specs in self.clause_specs
+            for tau in itertools.product(range(nind), repeat=m)]
+        self._instances: Optional[List[Tuple[int, ...]]] = None
 
         self.has_eq = self._mentions_equality(kb)
         if self.has_eq:
@@ -195,6 +193,16 @@ class CompiledKb:
         # instantiation count.  Asserted at every leaf.
         self.length_bound = len(self.ground_lits) + sum(
             len(specs) * nind ** m for m, specs in self.clause_specs)
+
+    @property
+    def instances(self) -> List[Tuple[int, ...]]:
+        """The up-front grounding: every job's instance, in job order.
+        Only ke reads it, so it is built on first read."""
+        if self._instances is None:
+            instantiate = self.instantiate
+            self._instances = [tuple(instantiate(specs, tau))
+                               for specs, tau in self.jobs]
+        return self._instances
 
     @staticmethod
     def _mentions_equality(kb: KnowledgeBase) -> bool:
@@ -255,6 +263,12 @@ class CompiledKb:
         return Literal(positive, Member3(self.inds[a], self.inds[b],
                                          self.set3s[sym - 1 - len(self.set1s)]))
 
+    def merges(self, sigma_items) -> Substitution:
+        """The substitution of a merge map given as (individual position,
+        representative position) pairs."""
+        inds = self.inds
+        return substitution0({inds[a]: inds[b] for a, b in sigma_items})
+
     def rewrite(self, lit_int: int, sigma: Dict[int, int]) -> int:
         kind, sym, a, b = self.fields(lit_int)
         a2 = sigma.get(a, a)
@@ -286,8 +300,7 @@ class Branch:
 
     @property
     def sigma(self) -> Substitution:
-        inds = self._comp.inds
-        return substitution0({inds[a]: inds[b] for a, b in self.sigma_map.items()})
+        return self._comp.merges(self.sigma_map.items())
 
     def literal_set(self) -> frozenset:
         return frozenset(self.literals)
@@ -308,13 +321,14 @@ class Branch:
 class ModelBuilder:
     """Model reports read straight off packed branches.
 
-    ``report(branch)`` makes every check ``oracle.extract_model`` makes --
-    no complementary pair, no negated x=x, no equality between distinct
-    individuals, every clause instance over the merged individuals
-    fulfilled -- and returns the dict ``syntax.render_model_report``
-    renders for the same model: the merged individuals as domain, the
-    positive membership literals as extents.  Only the names it prints
-    are decoded; ground instances are built once per distinct merge map.
+    ``report(lit_ints, sigma_items)`` makes every check
+    ``oracle.extract_model`` makes -- no complementary pair, no negated
+    x=x, no equality between distinct individuals, every clause instance
+    over the merged individuals fulfilled -- and returns the dict
+    ``syntax.render_model_report`` renders for the same model: the
+    merged individuals as domain, the positive membership literals as
+    extents.  Only the names it prints are decoded; ground instances are
+    built once per distinct merge map.
     """
 
     __slots__ = ("comp", "_names1", "_names3", "_fields", "_by_sigma")
@@ -326,13 +340,13 @@ class ModelBuilder:
         self._fields: Dict[int, Tuple[int, int, int, int]] = {}
         self._by_sigma: Dict[Tuple, Tuple[List[str], List[str], List]] = {}
 
-    def _merged(self, sigma_map: Dict[int, int]):
+    def _merged(self, sigma_items: Tuple[Tuple[int, int], ...]):
         """Individual names under the merge map, the domain, and every
         clause instance over the merged individuals."""
-        key = tuple(sorted(sigma_map.items()))
-        hit = self._by_sigma.get(key)
+        hit = self._by_sigma.get(sigma_items)
         if hit is not None:
             return hit
+        sigma_map = dict(sigma_items)
         comp = self.comp
         names = [comp.inds[sigma_map.get(i, i)].name
                  for i in range(len(comp.inds))]
@@ -350,19 +364,22 @@ class ModelBuilder:
                 merged.append((comp.pack(kind, sym, a, b, const & 1), ia, ib))
             for tau in itertools.product(canon, repeat=m):
                 instances.append((cl, tau, comp.instantiate(merged, tau)))
-        hit = self._by_sigma[key] = (names, [comp.inds[c].name for c in canon],
-                                     instances)
+        hit = self._by_sigma[sigma_items] = (
+            names, [comp.inds[c].name for c in canon], instances)
         return hit
 
-    def report(self, branch: Branch) -> dict:
+    def report(self, lit_ints: Tuple[int, ...],
+               sigma_items: Tuple[Tuple[int, int], ...]) -> dict:
+        """The model report of one packed branch: its literal integers
+        and its merge map's sorted items."""
         comp = self.comp
-        names, domain, instances = self._merged(branch.sigma_map)
-        lits = set(branch.lit_ints)
+        names, domain, instances = self._merged(sigma_items)
+        lits = set(lit_ints)
         fields = self._fields
         n1 = len(self._names1)
         sets1 = {name: set() for name in self._names1}
         sets3 = {name: set() for name in self._names3}
-        for l in branch.lit_ints:
+        for l in lit_ints:
             if (l ^ 1) in lits:
                 raise PreconditionError("branch is closed (complementary pair)")
             f = fields.get(l)
@@ -396,20 +413,42 @@ class ModelBuilder:
 class SaturationResult:
     """Outcome of a saturation run: the branch set and its statistics.
 
-    ``open_complete`` pairs every open complete branch with its equality
-    substitution; it is empty when ``collect_branches`` was off, in which
-    case only the counts survive.  ``consistent`` is open_count > 0.
+    ``packed`` holds every open complete branch as its sorted pair
+    ``(lit_ints, sigma_items)``: the literal integers after equality
+    normalisation and the merge map as sorted (individual,
+    representative) position pairs.  It is empty when
+    ``collect_branches`` was off, in which case only the counts survive.
+    ``open_complete`` pairs each of those branches, as a :class:`Branch`,
+    with its equality substitution; it is built on first read and kept.
+    ``consistent`` is open_count > 0.
     """
 
     kb: KnowledgeBase
     engine: str
-    open_complete: List[Tuple[Branch, Substitution]]
+    packed: List[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]]
     open_count: int
     closed_count: int
     consistent: bool
     stats: EngineStats
     collected: bool
     compiled: CompiledKb = field(repr=False, default=None)
+    _open_complete: Optional[List[Tuple[Branch, Substitution]]] = field(
+        init=False, repr=False, compare=False, default=None)
+
+    @property
+    def open_complete(self) -> List[Tuple[Branch, Substitution]]:
+        if self._open_complete is None:
+            comp = self.compiled
+            sigmas: Dict[Tuple, Substitution] = {}  # most branches share one
+            branches = []
+            for lit_ints, sigma_items in self.packed:
+                sigma = sigmas.get(sigma_items)
+                if sigma is None:
+                    sigma = sigmas[sigma_items] = comp.merges(sigma_items)
+                branches.append((Branch(comp, lit_ints, dict(sigma_items)),
+                                 sigma))
+            self._open_complete = branches
+        return self._open_complete
 
 
 def _normalize_eqs(pairs: List[Tuple[int, int]]) -> Dict[int, int]:
@@ -528,7 +567,6 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     """
     jobs = comp.jobs
     njobs = len(jobs)
-    instances = comp.instances
     instantiate = comp.instantiate
     bset = set()
     order: List[int] = []
@@ -587,6 +625,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                 j += 1
             return j, None
     elif engine == "ke":
+        instances = comp.instances
+
         def select(j):
             for lits in instances:
                 if bset.isdisjoint(lits):
@@ -739,16 +779,8 @@ def _assemble(kb: KnowledgeBase, comp: CompiledKb, engine: str,
               wall: float) -> SaturationResult:
     stats.wall_seconds = wall
     collected.sort()
-    branches = []
-    sigmas: Dict[Tuple, Substitution] = {}  # most branches share a merge map
-    for lit_ints, sigma_items in collected:
-        br = Branch(comp, lit_ints, dict(sigma_items))
-        sigma = sigmas.get(sigma_items)
-        if sigma is None:
-            sigma = sigmas[sigma_items] = br.sigma
-        branches.append((br, sigma))
     result = SaturationResult(
-        kb=kb, engine=engine, open_complete=branches,
+        kb=kb, engine=engine, packed=collected,
         open_count=counts["open"], closed_count=counts["closed"],
         consistent=counts["open"] > 0, stats=stats,
         collected=opts.collect_branches, compiled=comp)
@@ -781,6 +813,8 @@ def saturate(kb: KnowledgeBase, opts: Optional[EngineOptions] = None,
     deadline = (perf_counter() + opts.max_seconds
                 if opts.max_seconds is not None else None)
     comp = CompiledKb(kb)
+    if engine == "ke":
+        comp.instances  # ke's up-front grounding, timed as compile
     start = perf_counter()
     workers = _effective_workers(opts)
     if workers > 1:

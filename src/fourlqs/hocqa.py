@@ -4,19 +4,25 @@ A query is a conjunction of literals whose slots may hold query variables
 of any sort (individual, set, relation).  Answering is homomorphism
 search on the packed encoding: each conjunct is compiled once against the
 branch set's CompiledKb into an integer pattern (kind, polarity, and per
-slot a symbol, an individual or a query variable), with its individual
-constants rewritten through each branch's merge map.  For every open
-complete branch a depth-first search matches the leftmost remaining
-pattern against the branch integers -- building the candidate literals
-and testing membership when they are few, scanning the branch otherwise
--- and a node with no remaining pattern records its binding.  Bindings
-are deduplicated as integer tuples per merge map, and only the unique
-answers are decoded.
+slot a symbol, an individual or a query variable).
+
+The open branches are grouped by merge map, and each group's patterns
+have their individual constants rewritten through it.  The union of the
+group's literal integers is filtered once into the relevant literals:
+those that match some pattern on their own.  Only these can take part in
+a binding, so a branch's bindings depend only on its projection, the
+relevant literals it holds.  Each branch costs one set intersection, and
+a depth-first search runs once per distinct projection: it matches the
+leftmost remaining pattern -- building the candidate literals and testing
+membership when they are few, scanning the projection otherwise -- and a
+node with no remaining pattern records its binding.  Bindings are
+deduplicated as integer tuples per merge map, and only the unique answers
+are decoded.
 
 The answer set is the deduplicated union over branches.  It depends only
 on the branch literal sets, so any of the three engines feeds it equally
-well, and permuting the conjuncts changes the search shape but not the
-set.
+well, the order and repetition of the branches do not matter, and
+permuting the conjuncts changes the search shape but not the set.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (SORT0, SORT1, SORT3, Eq, FourlqsError, KnowledgeBase,
                    Literal, Member1, Member3, Substitution, Variable,
                    answer_key)
-from .engine import (KIND_EQ, KIND_IN1, KIND_IN3, Branch, CompiledKb,
-                     SaturationResult)
+from .engine import KIND_EQ, KIND_IN1, KIND_IN3, CompiledKb, SaturationResult
 from .syntax import Query, parse_query
 
 
@@ -127,33 +132,51 @@ class _Plan:
         self.domains = [inds if v.sort == SORT0
                         else range(1, 1 + n1) if v.sort == SORT1
                         else range(1 + n1, comp.nsym) for v in self.vars]
-        self._merged: Dict[Tuple, List[Tuple]] = {(): self.patterns}
 
     def merged(self, sigma_items: Tuple) -> List[Tuple]:
         """The patterns with their individual constants rewritten through
         a branch's merge map."""
-        hit = self._merged.get(sigma_items)
-        if hit is None:
-            sigma = dict(sigma_items)
-            hit = self._merged[sigma_items] = [
-                (kind, neg, sym,
+        if not sigma_items:
+            return self.patterns
+        sigma = dict(sigma_items)
+        return [(kind, neg, sym,
                  a if a < 0 else sigma.get(a, a),
                  b if b < 0 or kind == KIND_IN1 else sigma.get(b, b))
                 for kind, neg, sym, a, b in self.patterns]
-        return hit
 
-    def bindings(self, patterns: List[Tuple], branch: Branch, out: set) -> None:
+    def relevant(self, patterns: List[Tuple], lits) -> frozenset:
+        """The literals among ``lits`` that match some pattern on their
+        own: same polarity and kind, every constant slot equal, and one
+        value for a variable the pattern repeats.  No other literal can
+        take part in a binding."""
+        fields = self.comp.fields
+        keep = []
+        for l in lits:
+            lkind, *lvals = fields(l)
+            neg = l & 1
+            for kind, pneg, *slots in patterns:
+                if kind != lkind or pneg != neg:
+                    continue
+                env = {}
+                for s, v in zip(slots, lvals):
+                    if (s != v) if s >= 0 else (env.setdefault(s, v) != v):
+                        break
+                else:
+                    keep.append(l)
+                    break
+        return frozenset(keep)
+
+    def search(self, patterns: List[Tuple], lits: frozenset,
+               out: set) -> None:
         """Add to ``out`` every binding, as a tuple of values in variable
-        order, under which all patterns occur on the branch."""
+        order, under which all patterns occur among ``lits``."""
         comp = self.comp
         pack = comp.pack
         domains = self.domains
-        lits = branch.lit_ints
-        litset = set(lits)
         env: List[Optional[int]] = [None] * len(self.vars)
         npat = len(patterns)
 
-        def search(i: int) -> None:
+        def step(i: int) -> None:
             if i == npat:
                 out.add(tuple(env))
                 return
@@ -162,8 +185,8 @@ class _Plan:
             free = list(dict.fromkeys(~s for s, v in zip(slots, values)
                                       if v is None))
             if not free:
-                if pack(kind, *values, neg) in litset:
-                    search(i + 1)
+                if pack(kind, *values, neg) in lits:
+                    step(i + 1)
                 return
             probes = 1
             for x in free:
@@ -174,10 +197,10 @@ class _Plan:
                     for x, v in zip(free, combo):
                         env[x] = v
                     if pack(kind, *(s if s >= 0 else env[~s] for s in slots),
-                            neg) in litset:
-                        search(i + 1)
+                            neg) in lits:
+                        step(i + 1)
             else:
-                # Many candidates: scan the branch instead.
+                # Many candidates: scan the literals instead.
                 for l in lits:
                     if l & 1 != neg:
                         continue
@@ -193,11 +216,11 @@ class _Plan:
                         elif want != v:
                             break
                     else:
-                        search(i + 1)
+                        step(i + 1)
             for x in free:
                 env[x] = None
 
-        search(0)
+        step(0)
 
     def decode(self, values: Tuple[int, ...]) -> Substitution:
         comp = self.comp
@@ -220,19 +243,25 @@ def answer(q: Query, result: SaturationResult) -> AnswerSet:
     if not result.collected:
         raise StaleBranchError("the saturation result did not collect "
                                "branches (collect_branches was off)")
-    plan = _Plan(q, result.compiled)
+    comp = result.compiled
+    plan = _Plan(q, comp)
     if plan.impossible:
         return AnswerSet(())
-    # Bindings found per merge map, deduplicated as integer tuples.
-    found: Dict[Tuple, Tuple[Substitution, set]] = {}
-    for br, sigma in result.open_complete:
-        sigma_items = tuple(sorted(br.sigma_map.items()))
-        entry = found.get(sigma_items)
-        if entry is None:
-            entry = found[sigma_items] = (sigma, set())
-        plan.bindings(plan.merged(sigma_items), br, entry[1])
-    answers = [Answer(binding=plan.decode(values), merges=sigma)
-               for sigma, bindings in found.values() for values in bindings]
+    groups: Dict[Tuple, List[Tuple[int, ...]]] = {}  # by merge map
+    for lit_ints, sigma_items in result.packed:
+        groups.setdefault(sigma_items, []).append(lit_ints)
+    answers = []
+    for sigma_items, branches in groups.items():
+        patterns = plan.merged(sigma_items)
+        relevant = plan.relevant(patterns, set().union(*branches))
+        found = set()
+        # Bindings depend only on the literals that match a pattern, so
+        # one search per distinct projection finds them all.
+        for projection in set(map(relevant.intersection, branches)):
+            plan.search(patterns, projection, found)
+        merges = comp.merges(sigma_items)
+        answers.extend(Answer(binding=plan.decode(values), merges=merges)
+                       for values in found)
     answers.sort(key=Answer.key)
     return AnswerSet(tuple(answers))
 

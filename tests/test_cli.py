@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fourlqs import cli
 from fourlqs.cli import main
 
 from conftest import CONTRADICTION_KB, DEEP_KB, ITALY_DL, ITALY_KB
@@ -58,6 +59,37 @@ class TestCheck:
             assert main(["check", str(italy_file), "--engine", engine]) == 0
             outs.add(capsys.readouterr().out)
         assert len(outs) == 1
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, italy_file, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            assert main(["check", str(italy_file)]) == 0
+            assert main(["check", str(italy_file), "--engine", "ke"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_flags_do_not_leak_into_the_next_call(self, italy_file, capsys):
+        argv = ["query", str(italy_file), "--task", "C", "Rome", "Italy"]
+        assert main(argv + ["--json", "--max-branches", "1"]) == 3
+        assert "branch limit 1" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "?r=isPartOf\n?r=locatedIn\n"
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["answers"]
+        assert main(["check", str(italy_file), "--max-branches", "5"]) == 0
+        assert main(["check", str(italy_file)]) == 0
+        assert capsys.readouterr().out == "consistent, 2 open branches\n" * 2
 
 
 class TestQuery:

@@ -17,7 +17,7 @@ from fourlqs import (EngineOptions, Instantiation, Literal, Member3,
 from fourlqs.bench import gen_random_kb
 from fourlqs.core import Eq, Member1, PreconditionError, var1
 from fourlqs import engine as engine_module
-from fourlqs.engine import Branch, ModelBuilder, _normalize_eqs
+from fourlqs.engine import ModelBuilder, _normalize_eqs
 from fourlqs.oracle import is_consistent, reference_saturate
 
 from conftest import CONTRADICTION_KB, DEEP_KB, MERGE_KB
@@ -487,6 +487,42 @@ class TestForkedParallel:
         assert forks
         _assert_no_children()
 
+    @pytest.mark.parametrize("engine", ["keg", "foke"])
+    def test_only_ke_grounds_up_front(self, forks, monkeypatch, engine):
+        """keg and foke never build ``CompiledKb.instances``, serially
+        or in a forked helper: a helper that read it would die, and the
+        parent would raise ``HelperLostError``."""
+        from fourlqs.engine import CompiledKb
+
+        def no_grounding(comp):
+            raise AssertionError(f"{engine} built the up-front grounding")
+
+        monkeypatch.setattr(CompiledKb, "instances", property(no_grounding))
+        kb = _paper_kb(NOT_AB)
+        for workers in (1, 2):
+            res = saturate(kb, EngineOptions(workers=workers,
+                                             collect_branches=False),
+                           engine=engine)
+            assert res.open_count == 7_058
+        assert forks
+        _assert_no_children()
+
+    def test_ke_grounds_before_forking(self, forks, monkeypatch):
+        from fourlqs.engine import CompiledKb
+        parent = os.getpid()
+        real = CompiledKb.instances
+
+        def parent_only(comp):
+            if comp._instances is None and os.getpid() != parent:
+                raise AssertionError("a helper built the grounding")
+            return real.fget(comp)
+
+        monkeypatch.setattr(CompiledKb, "instances", property(parent_only))
+        res = saturate(_paper_kb(NOT_AB), EngineOptions(
+            workers=2, collect_branches=False), engine="ke")
+        assert forks and res.open_count == 7_058
+        _assert_no_children()
+
     def test_lost_helper_raises(self, forks, monkeypatch):
         from fourlqs import parallel
         parent = os.getpid()
@@ -652,7 +688,7 @@ def _reference_reports(result, kb):
 
 def _packed_reports(result):
     build = ModelBuilder(result.compiled)
-    return [build.report(br) for br, _ in result.open_complete]
+    return [build.report(*branch) for branch in result.packed]
 
 
 class TestModelBuilder:
@@ -694,39 +730,39 @@ class TestModelBuilder:
         assert any(br.sigma_map for br, _ in res.open_complete)
         assert _packed_reports(res) == _reference_reports(res, kb)
 
-    def _branch(self, text, lits, sigma_map=None):
+    def _branch(self, text, lits, sigma_items=()):
+        """A model builder and one hand-built packed branch."""
         from fourlqs.engine import CompiledKb
         kb = parse_kb(text)
         comp = CompiledKb(kb)
-        return ModelBuilder(comp), Branch(comp, tuple(comp.encode(l)
-                                                       for l in lits),
-                                          sigma_map or {})
+        return ModelBuilder(comp), (tuple(comp.encode(l) for l in lits),
+                                    sigma_items)
 
     def test_complementary_pair_rejected(self):
         a_in = Literal(True, Member1(var0("a"), var1("A")))
         build, br = self._branch("lit (in a A)", [a_in, complement(a_in)])
         with pytest.raises(PreconditionError, match="complementary"):
-            build.report(br)
+            build.report(*br)
 
     def test_negated_trivial_equality_rejected(self):
         build, br = self._branch("lit (not (eq a a))",
                                  [Literal(False, Eq(var0("a"), var0("a")))])
         with pytest.raises(PreconditionError, match="x=x"):
-            build.report(br)
+            build.report(*br)
 
     def test_equality_between_distinct_individuals_rejected(self):
         build, br = self._branch("lit (eq a b)",
                                  [Literal(True, Eq(var0("a"), var0("b")))])
         with pytest.raises(PreconditionError, match="equality"):
-            build.report(br)
+            build.report(*br)
 
     def test_unfulfilled_instance_rejected(self):
         text = "ind a b\nclause (forall z1) (or (in z1 A))"
         a_in = Literal(True, Member1(var0("a"), var1("A")))
         build, br = self._branch(text, [a_in])
         with pytest.raises(PreconditionError, match="does not fulfill"):
-            build.report(br)
+            build.report(*br)
         # Merging b into a leaves a single instance, which a_in fulfils.
-        build, br = self._branch(text, [a_in], {1: 0})
-        assert build.report(br) == {"domain": ["a"], "sets1": {"A": ["a"]},
+        build, br = self._branch(text, [a_in], ((1, 0),))
+        assert build.report(*br) == {"domain": ["a"], "sets1": {"A": ["a"]},
                                     "sets3": {}}

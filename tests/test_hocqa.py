@@ -5,16 +5,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourlqs import parse_kb, parse_query, saturate, var0, var1, var3
 from fourlqs.baselines import saturate_foke, saturate_ke
-from fourlqs.bench import gen_random_kb, gen_random_query
+from fourlqs.bench import (BenchConfig, gen_family, gen_random_kb,
+                           gen_random_query)
 from fourlqs.core import Literal, Member1, Member3
-from fourlqs.hocqa import StaleBranchError, TaskArityError, answer, task_query
+from fourlqs.hocqa import (StaleBranchError, TaskArityError, _Plan, answer,
+                           task_query)
 from fourlqs.oracle import OracleBounds, brute_answers
 from fourlqs.syntax import Query
 
 from conftest import MERGE_KB
+from test_engine import _ontology_kb
 
 
 def _pos_branch(result):
@@ -36,8 +40,7 @@ def _neg_branch(result):
 def _on_branch(result, br):
     """The saturation result narrowed to one of its branches."""
     return dataclasses.replace(
-        result, open_complete=[(b, s) for b, s in result.open_complete
-                               if b is br])
+        result, packed=[p for p in result.packed if p[0] == br.lit_ints])
 
 
 class TestAnswerOnOneBranch:
@@ -197,3 +200,79 @@ class TestAgreementSample:
                      "(rel ?x ?x ?r)", "(not (eq ?x ?y)) (in ?x ?c)"):
             q = parse_query(text, kb)
             assert answer(q, res).keys() == brute_answers(kb, q, bounds)
+
+
+def _reordered(result, rnd):
+    """The saturation result with its branch list shuffled and some
+    branches listed twice."""
+    packed = list(result.packed)
+    packed += rnd.sample(packed, len(packed) // 3)
+    rnd.shuffle(packed)
+    return dataclasses.replace(result, packed=packed)
+
+
+def _assert_matches_brute_force(kb, result, q, rnd):
+    got = answer(q, result)
+    assert got.keys() == brute_answers(kb, q)
+    keys = [a.key() for a in got]
+    assert [a.key() for a in answer(q, _reordered(result, rnd))] == keys
+
+
+# Tasks A, B and C and the two-conjunct query of the ontology-query
+# benchmark, on its KB.
+ONTOLOGY_QUERIES = ("(rel a ?x R)", "(in a ?c)", "(rel a b ?r)",
+                    "(rel a ?y R) (in ?y ?c)")
+
+
+class TestMatcherProperties:
+    """The projection matcher against ``oracle.brute_answers``, and its
+    independence of branch order and repetition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
+    def test_random_equality_kbs(self, seed, rnd):
+        rng = random.Random(seed)
+        text = next(t for t in (gen_random_kb(rng) for _ in range(100))
+                    if "eq" in t)
+        kb = parse_kb(text)
+        q = parse_query(gen_random_query(rng, kb), kb)
+        _assert_matches_brute_force(kb, saturate(kb), q, rnd)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
+    def test_merge_kb(self, seed, rnd):
+        kb = parse_kb(MERGE_KB)
+        q = parse_query(gen_random_query(random.Random(seed), kb), kb)
+        _assert_matches_brute_force(kb, saturate(kb), q, rnd)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
+    def test_ontology_query_shape(self, seed, rnd):
+        kb = _ontology_kb()
+        result = saturate(kb)
+        assert any(sigma for _, sigma in result.packed)
+        text = gen_random_query(random.Random(seed), kb)
+        for t in (text, rnd.choice(ONTOLOGY_QUERIES)):
+            _assert_matches_brute_force(kb, result, parse_query(t, kb), rnd)
+
+    def test_one_search_per_distinct_projection(self, monkeypatch):
+        kb = parse_kb(gen_family(BenchConfig(individuals=3, clauses=1))
+                      + "lit (not (in a A))\n")
+        result = saturate(kb)
+        assert result.open_count == 850
+        calls = []
+        real_search = _Plan.search
+
+        def counting_search(plan, patterns, lits, out):
+            calls.append(lits)
+            return real_search(plan, patterns, lits, out)
+
+        monkeypatch.setattr(_Plan, "search", counting_search)
+        for text in ("(rel a ?x P)", "(in a ?c)", "(rel a b ?r)",
+                     "(rel a ?y P) (in ?y ?c)"):
+            calls.clear()
+            q = parse_query(text, kb)
+            assert answer(q, result).keys() == brute_answers(kb, q)
+            # 1, 3, 1 and 82 distinct projections of the 850 branches.
+            assert 0 < len(calls) <= 850 // 8, text
+            assert len(set(calls)) == len(calls), text

@@ -4,7 +4,8 @@ Subcommands: ``check`` (consistency), ``models`` (extracted branch
 models), ``query`` (HO conjunctive query answering), ``translate``
 (DL axioms to KB text), ``oracle`` (brute-force ground truth), ``bench``
 (three-engine comparison).  Exit codes: 0 success (and consistent, for
-check), 1 inconsistent, 2 usage or parse error, 3 resource limit.
+check), 1 inconsistent, 2 usage or parse error or an input file that
+cannot be read as UTF-8 text, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bench import BenchConfig, InvalidConfigError, ParityViolationError, run_bench
+from .bench import BenchConfig, run_bench
 from .core import FourlqsError
-from .dlfront import UnsupportedAxiomError, parse_dl, translate_kb
+from .dlfront import parse_dl, translate_kb
 from .engine import EngineOptions, ModelBuilder, ResourceLimitError, saturate
 from .hocqa import TaskArityError, answer, task_query
 from .oracle import (BoundsExceededError, OracleBounds, brute_answers,
                      is_consistent)
-from .syntax import (ParseError, parse_kb, parse_query, render_answer_set,
-                     render_kb)
+from .syntax import parse_kb, parse_query, render_answer_set, render_kb
 
 _TASKS = {"A": "role-filler", "B": "concept-retrieval", "C": "role-instance",
           "D": "cqa"}
@@ -120,8 +120,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _read(path: Path) -> str:
+    """An input file's text; one that cannot be read as UTF-8 text is a
+    usage error, not a crash."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FourlqsError(f"{path}: not UTF-8 text ({err.reason} "
+                           f"at byte {err.start})") from None
+    except OSError as err:
+        raise FourlqsError(f"{path}: {err.strerror or err}") from None
+
+
 def _cmd_check(args) -> int:
-    kb = parse_kb(args.kb.read_text())
+    kb = parse_kb(_read(args.kb))
     result = saturate(kb, _options(args, collect=False), engine=args.engine)
     if result.consistent:
         print(f"consistent, {result.open_count} open branches")
@@ -131,7 +143,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    kb = parse_kb(args.kb.read_text())
+    kb = parse_kb(_read(args.kb))
     result = saturate(kb, _options(args, collect=True), engine=args.engine)
     build = ModelBuilder(result.compiled)
     reports = [build.report(*branch) for branch in result.packed]
@@ -140,17 +152,17 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    kb = parse_kb(args.kb.read_text())
+    kb = parse_kb(_read(args.kb))
     if args.task is not None:
         letter = args.task[0]
         if letter not in _TASKS:
             raise TaskArityError(f"unknown task {letter!r}; expected one of "
                                  f"{', '.join(sorted(_TASKS))}")
         kind = _TASKS[letter]
-        text = args.q.read_text() if (kind == "cqa" and args.q) else None
+        text = _read(args.q) if (kind == "cqa" and args.q) else None
         q = task_query(kind, args.task[1:], kb, text=text)
     elif args.q is not None:
-        q = parse_query(args.q.read_text(), kb)
+        q = parse_query(_read(args.q), kb)
     else:
         raise TaskArityError("query needs --q or --task")
     result = saturate(kb, _options(args, collect=True), engine=args.engine)
@@ -171,21 +183,21 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    axioms = parse_dl(args.axioms.read_text())
+    axioms = parse_dl(_read(args.axioms))
     kb = translate_kb(axioms)
     sys.stdout.write(render_kb(kb))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    kb = parse_kb(args.kb.read_text())
+    kb = parse_kb(_read(args.kb))
     if args.oracle_command == "check":
         if is_consistent(kb, _bounds(args)):
             print("consistent")
             return 0
         print("inconsistent")
         return 1
-    q = parse_query(args.q.read_text(), kb)
+    q = parse_query(_read(args.q), kb)
     keys = sorted(brute_answers(kb, q, _bounds(args)))
     sort_of = {}
     for v in q.qvars0:
@@ -255,10 +267,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ResourceLimitError, BoundsExceededError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ParseError, UnsupportedAxiomError, InvalidConfigError,
-            TaskArityError, FileNotFoundError, ParityViolationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except FourlqsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

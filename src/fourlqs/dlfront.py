@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (FourlqsError, KbBuilder, KnowledgeBase, Literal, Member1,
                    Member3, Eq, UniversalClause, Variable, SORT0, SORT1, SORT3)
-from .syntax import LineParser, ParseError, tokenize_line
+from .syntax import LineParser
 
 
 class UnsupportedAxiomError(FourlqsError):
@@ -82,44 +82,42 @@ class _FreshNamer:
 
 def _parse_cexpr(p: LineParser) -> Cexpr:
     tok = p.take()
-    if tok.text != "(":
-        if tok.text == "top":
+    if tok != "(":
+        if tok == "top":
             return ("top",)
-        if tok.text == "bot":
+        if tok == "bot":
             return ("bot",)
-        if tok.text in (")",):
-            raise ParseError(tok.span, "expected a concept expression")
-        return ("name", tok.text)
+        if tok == ")":
+            raise p.fail("expected a concept expression", at=p.pos - 1)
+        return ("name", tok)
     head = p.take()
-    if head.text == "not":
+    at = p.pos - 1
+    if head == "not":
         e = _parse_cexpr(p)
         p.expect(")")
         return ("not", e)
-    if head.text in ("and", "or"):
+    if head in ("and", "or"):
         parts = []
         while p.peek() != ")":
             parts.append(_parse_cexpr(p))
         p.expect(")")
         if len(parts) < 2:
-            raise ParseError(head.span, f"{head.text} needs at least two "
-                                        "operands")
-        return (head.text, tuple(parts))
-    raise ParseError(head.span, f"expected not, and or or, got {head.text!r}")
+            raise p.fail(f"{head} needs at least two operands", at=at)
+        return (head, tuple(parts))
+    raise p.fail(f"expected not, and or or, got {head!r}", at=at)
 
 
 def parse_dl(text: str) -> List[DlAxiom]:
     """Parse the axiom file format into a list of axioms."""
     axioms: List[DlAxiom] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = tokenize_line(raw, lineno)
-        if not toks:
+        p = LineParser(raw, lineno)
+        if not p.toks:
             continue
-        p = LineParser(toks, lineno)
-        head = p.take()
-        kw = head.text
+        kw = p.take()
 
         def names(n: int) -> List[str]:
-            out = [p.name().text for _ in range(n)]
+            out = [p.name() for _ in range(n)]
             if not p.done():
                 raise p.fail("trailing tokens after axiom", "arity")
             return out
@@ -153,7 +151,7 @@ def parse_dl(text: str) -> List[DlAxiom]:
         elif kw == "chain":
             rs = []
             while not p.done():
-                rs.append(p.name().text)
+                rs.append(p.name())
             if len(rs) < 3:
                 raise p.fail("chain needs at least two left-hand roles and "
                              "a right-hand role", "arity")
@@ -179,7 +177,7 @@ def parse_dl(text: str) -> List[DlAxiom]:
             axioms.append(DlAxiom("ValueRestriction", roles=(r,),
                                   concepts=(c1, c2)))
         else:
-            raise ParseError(head.span, f"unknown axiom keyword {kw!r}")
+            raise p.fail(f"unknown axiom keyword {kw!r}", at=0)
     return axioms
 
 

@@ -13,6 +13,11 @@ from the slot (element vs set position) and must be globally consistent.
 Queries are a plain sequence of literals where any slot may hold a
 ``?``-prefixed query variable; the empty file is the empty query.
 
+KB, query and DL text (``dlfront``) share one token layer: a line is one
+``findall`` into plain strings, read by index.  No position is kept per
+token; a span is computed only for the diagnostic that is raised, by
+scanning its one line again.
+
 Answers and extracted models are rendered as JSON with a fixed schema so
 repeated runs are byte-identical.
 """
@@ -55,68 +60,57 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _NAME = re.compile(r"\??[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
 
 
-class _Tok:
-    __slots__ = ("text", "span")
-
-    def __init__(self, text: str, span: SourceSpan):
-        self.text = text
-        self.span = span
-
-
-def tokenize_line(line: str, lineno: int) -> List[_Tok]:
-    """The tokens of one line, comment dropped, each with its span."""
-    body = line.split("#", 1)[0]
-    toks = []
-    for m in _TOKEN.finditer(body):
-        toks.append(_Tok(m.group(0), SourceSpan(lineno, m.start() + 1, len(m.group(0)))))
-    return toks
-
-
 class LineParser:
-    """Recursive-descent reader over one line's token list."""
+    """Reader over one line's tokens, comment dropped."""
 
-    def __init__(self, toks: List[_Tok], lineno: int):
-        self.toks = toks
+    __slots__ = ("body", "toks", "pos", "lineno")
+
+    def __init__(self, line: str, lineno: int):
+        self.body = line.split("#", 1)[0]
+        self.toks: List[str] = _TOKEN.findall(self.body)
         self.pos = 0
         self.lineno = lineno
 
-    def _here(self) -> SourceSpan:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos].span
-        if self.toks:
-            last = self.toks[-1].span
-            return SourceSpan(self.lineno, last.column + last.length)
-        return SourceSpan(self.lineno, 1)
-
-    def fail(self, message: str, kind: str = "lex") -> ParseError:
-        return ParseError(self._here(), message, kind)
+    def fail(self, message: str, kind: str = "lex",
+             at: Optional[int] = None) -> ParseError:
+        """A diagnostic at token ``at`` (default ``pos``) or past the end."""
+        spans = [m.span() for m in _TOKEN.finditer(self.body)]
+        at = self.pos if at is None else at
+        if at < len(spans):
+            start, end = spans[at]
+        else:
+            start = end = spans[-1][1] if spans else 0
+        return ParseError(SourceSpan(self.lineno, start + 1, end - start),
+                          message, kind)
 
     def done(self) -> bool:
         return self.pos >= len(self.toks)
 
     def peek(self) -> Optional[str]:
-        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self) -> _Tok:
-        if self.done():
+    def take(self) -> str:
+        if self.pos >= len(self.toks):
             raise self.fail("unexpected end of line")
-        tok = self.toks[self.pos]
         self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def expect(self, text: str) -> None:
+        tok = self.take()
+        if tok != text:
+            raise self.fail(f"expected {text!r}, got {tok!r}", at=self.pos - 1)
+
+    def name(self, allow_query: bool = False) -> str:
+        tok = self.take()
+        self.check_name(self.pos - 1, allow_query)
         return tok
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.take()
-        if tok.text != text:
-            raise ParseError(tok.span, f"expected {text!r}, got {tok.text!r}")
-        return tok
-
-    def name(self, allow_query: bool = False) -> _Tok:
-        tok = self.take()
-        if tok.text in ("(", ")") or not _NAME.match(tok.text):
-            raise ParseError(tok.span, f"expected a name, got {tok.text!r}")
-        if tok.text.startswith("?") and not allow_query:
-            raise ParseError(tok.span, "query variables are not allowed here")
-        return tok
+    def check_name(self, at: int, allow_query: bool) -> None:
+        tok = self.toks[at]
+        if not _NAME.match(tok):
+            raise self.fail(f"expected a name, got {tok!r}", at=at)
+        if tok[0] == "?" and not allow_query:
+            raise self.fail("query variables are not allowed here", at=at)
 
 
 class _Names:
@@ -134,10 +128,12 @@ class _Names:
         self.qvars: Dict[str, Variable] = {}
         self.qvar_order: List[Variable] = []
 
-    def resolve(self, tok: _Tok, sort: int, quantified: bool = False) -> Variable:
-        name = tok.text
+    def resolve(self, p: LineParser, at: int, sort: int,
+                quantified: bool = False) -> Variable:
+        """The variable that token ``at`` of ``p`` names at ``sort``."""
+        name = p.toks[at]
         try:
-            if name.startswith("?"):
+            if name[0] == "?":
                 known = self.qvars.get(name)
                 if known is not None:
                     if known.sort != sort:
@@ -157,47 +153,55 @@ class _Names:
                             raise NamespaceError(
                                 f"name {name!r} has a different sort in the KB",
                                 "sort")
-                    raise ParseError(tok.span, f"unknown symbol {name!r}",
-                                     "unknown-symbol")
+                    raise NamespaceError(f"unknown symbol {name!r}",
+                                         "unknown-symbol")
                 return v
             if quantified:
                 return self.builder.quantified(name)
             return self.builder.free(sort, name)
         except NamespaceError as err:
-            raise ParseError(tok.span, str(err), err.kind) from None
+            raise p.fail(str(err), err.kind, at=at) from None
+
+
+# Atom head -> (constructor, slot sorts).
+_ATOMS = {"eq": (Eq, (SORT0, SORT0)), "in": (Member1, (SORT0, SORT1)),
+          "rel": (Member3, (SORT0, SORT0, SORT3))}
 
 
 def _parse_atom(p: LineParser, names: _Names, quantified_ok: bool,
                 allow_query: bool) -> Literal:
-    p.expect("(")
-    head = p.take()
-    if head.text == "not":
-        inner = _parse_atom(p, names, quantified_ok, allow_query)
-        if not inner.positive:
-            raise ParseError(head.span, "nested negation is not allowed")
-        p.expect(")")
-        return Literal(False, inner.atom)
-
-    def operand(sort: int) -> Variable:
-        tok = p.name(allow_query)
-        if (not tok.text.startswith("?")) and quantified_ok and sort == SORT0:
-            q = names.builder.lookup_quantified(tok.text)
-            if q is not None:
-                return q
-        return names.resolve(tok, sort)
-
-    if head.text == "eq":
-        lit = Literal(True, Eq(operand(SORT0), operand(SORT0)))
-    elif head.text == "in":
-        lit = Literal(True, Member1(operand(SORT0), operand(SORT1)))
-    elif head.text == "rel":
-        lit = Literal(True, Member3(operand(SORT0), operand(SORT0),
-                                    operand(SORT3)))
-    else:
-        raise ParseError(head.span,
-                         f"expected eq, in, rel or not, got {head.text!r}")
-    p.expect(")")
-    return lit
+    toks, i = p.toks, p.pos
+    try:
+        if toks[i] != "(":
+            raise p.fail(f"expected '(', got {toks[i]!r}", at=i)
+        head = toks[i + 1]
+        if head == "not":
+            p.pos = i + 2
+            inner = _parse_atom(p, names, quantified_ok, allow_query)
+            if not inner.positive:
+                raise p.fail("nested negation is not allowed", at=i + 1)
+            p.expect(")")
+            return Literal(False, inner.atom)
+        shape = _ATOMS.get(head)
+        if shape is None:
+            raise p.fail(f"expected eq, in, rel or not, got {head!r}", at=i + 1)
+        make, sorts = shape
+        args = []
+        for i, sort in enumerate(sorts, start=i + 2):
+            tok = toks[i]     # inline test; check_name raises the diagnostic
+            if not _NAME.match(tok) or (tok[0] == "?" and not allow_query):
+                p.check_name(i, allow_query)
+            q = None
+            if quantified_ok and sort == SORT0 and tok[0] != "?":
+                q = names.builder.lookup_quantified(tok)
+            args.append(q or names.resolve(p, i, sort))
+        i += 1
+        if toks[i] != ")":
+            raise p.fail(f"expected ')', got {toks[i]!r}", at=i)
+    except IndexError:
+        raise p.fail("unexpected end of line", at=len(toks)) from None
+    p.pos = i + 1
+    return Literal(True, make(*args))
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -209,30 +213,28 @@ def parse_kb(text: str) -> KnowledgeBase:
     builder = KbBuilder()
     names = _Names(builder)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = tokenize_line(raw, lineno)
-        if not toks:
+        p = LineParser(raw, lineno)
+        if not p.toks:
             continue
-        p = LineParser(toks, lineno)
         head = p.take()
-        if head.text == "ind":
-            got = False
-            while not p.done():
-                names.resolve(p.name(), SORT0)
-                got = True
-            if not got:
+        if head == "ind":
+            if p.done():
                 raise p.fail("ind needs at least one name", "arity")
-        elif head.text == "lit":
+            while not p.done():
+                p.name()
+                names.resolve(p, p.pos - 1, SORT0)
+        elif head == "lit":
             lit = _parse_atom(p, names, quantified_ok=False, allow_query=False)
             if not p.done():
                 raise p.fail("trailing tokens after literal")
             builder.add_literal(lit)
-        elif head.text == "clause":
+        elif head == "clause":
             p.expect("(")
             p.expect("forall")
             zs = []
             while p.peek() != ")":
-                tok = p.name()
-                zs.append(names.resolve(tok, SORT0, quantified=True))
+                p.name()
+                zs.append(names.resolve(p, p.pos - 1, SORT0, quantified=True))
             p.expect(")")
             if not zs:
                 raise p.fail("forall needs at least one variable", "arity")
@@ -255,8 +257,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             except NamespaceError as err:
                 raise ParseError(SourceSpan(lineno, 1), str(err), err.kind) from None
         else:
-            raise ParseError(head.span,
-                             f"expected ind, lit or clause, got {head.text!r}")
+            raise p.fail(f"expected ind, lit or clause, got {head!r}", at=0)
     return builder.build()
 
 
@@ -288,8 +289,7 @@ def parse_query(text: str, kb: KnowledgeBase) -> Query:
     names = _Names(KbBuilder(), kb=kb)
     conjuncts: List[Literal] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = tokenize_line(raw, lineno)
-        p = LineParser(toks, lineno)
+        p = LineParser(raw, lineno)
         while not p.done():
             conjuncts.append(
                 _parse_atom(p, names, quantified_ok=False, allow_query=True))

@@ -61,6 +61,35 @@ class TestCheck:
         assert len(outs) == 1
 
 
+class TestUnreadableInput:
+    """A file that cannot be read as UTF-8 text is a usage error (exit 2,
+    one ``error:`` line), never a crash or an "inconsistent" exit 1."""
+
+    @pytest.fixture(params=["not-utf8", "directory"])
+    def bad(self, request, tmp_path):
+        if request.param == "directory":
+            return tmp_path
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe(lit")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{bad}"], ["models", "{bad}"], ["query", "{bad}", "--q", "{q}"],
+        ["query", "{kb}", "--q", "{bad}"],
+        ["query", "{kb}", "--task", "D", "--q", "{bad}"],
+        ["translate", "{bad}"], ["oracle", "check", "{bad}"],
+        ["oracle", "answers", "{kb}", "--q", "{bad}"],
+    ], ids=lambda argv: "-".join(a.strip("{}") for a in argv if a[0] != "-"))
+    def test_exit_2_with_one_error_line(self, argv, bad, italy_file,
+                                        query_file, capsys):
+        argv = [a.format(bad=bad, kb=italy_file, q=query_file) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestParserReuse:
     def test_parser_built_once(self, italy_file, monkeypatch, capsys):
         built = []

@@ -2,17 +2,20 @@
 
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourlqs import parse_kb, parse_query, var0, var3
-from fourlqs.bench import gen_random_kb
+from fourlqs.bench import gen_random_kb, gen_random_query
 from fourlqs.core import Member3
+from fourlqs.dlfront import UnsupportedAxiomError, parse_dl
 from fourlqs.syntax import (ParseError, render_answer_set, render_kb,
                             render_query)
 from fourlqs import substitution0
 
-from conftest import ITALY_KB
+from conftest import ITALY_DL, ITALY_KB
 
 
 class TestParseKb:
@@ -75,14 +78,190 @@ class TestParseKb:
         with pytest.raises(ParseError):
             parse_kb("clause (forall z) (or (and (in z A) (in z B)))")
 
-    def test_diagnostics_deterministic(self):
-        msgs = set()
-        for _ in range(3):
-            try:
-                parse_kb("lit (in a A)\nlit (rel a b)")
-            except ParseError as err:
-                msgs.add((str(err), err.kind, err.span.line, err.span.column))
-        assert len(msgs) == 1
+
+# (id, grammar, text, str(err), kind, span.line, span.column).  Queries
+# are read against ITALY_KB.  Every diagnostic is pinned byte for byte.
+GOLDEN = [
+    ("deterministic", "kb", "lit (in a A)\nlit (rel a b)",
+     "2:13: expected a name, got ')'", "lex", 2, 13),
+    ("unknown-atom-head", "kb", "lit (member a A)",
+     "1:6: expected eq, in, rel or not, got 'member'", "lex", 1, 6),
+    ("ind-without-names", "kb", "ind",
+     "1:4: ind needs at least one name", "arity", 1, 4),
+    ("paren-as-name", "kb", "ind a (",
+     "1:7: expected a name, got '('", "lex", 1, 7),
+    ("unknown-keyword", "kb", "frob a b",
+     "1:1: expected ind, lit or clause, got 'frob'", "lex", 1, 1),
+    ("lone-close-paren", "kb", ")",
+     "1:1: expected ind, lit or clause, got ')'", "lex", 1, 1),
+    ("lit-at-end-of-line", "kb", "lit",
+     "1:4: unexpected end of line", "lex", 1, 4),
+    ("atom-cut-after-name", "kb", "lit (in a",
+     "1:10: unexpected end of line", "lex", 1, 10),
+    ("atom-missing-close", "kb", "lit (in a A",
+     "1:12: unexpected end of line", "lex", 1, 12),
+    ("trailing-name", "kb", "lit (in a A) extra",
+     "1:14: trailing tokens after literal", "lex", 1, 14),
+    ("trailing-atom", "kb", "lit (in a A) (in b B)",
+     "1:14: trailing tokens after literal", "lex", 1, 14),
+    ("atom-without-parens", "kb", "lit in a A",
+     "1:5: expected '(', got 'in'", "lex", 1, 5),
+    ("query-variable-in-kb", "kb", "lit (in ?v A)",
+     "1:9: query variables are not allowed here", "lex", 1, 9),
+    ("nested-not", "kb", "lit (not (not (in a A)))",
+     "1:6: nested negation is not allowed", "lex", 1, 6),
+    ("comment-after-bad-token", "kb", "lit (in a A) bad # comment (in b B)",
+     "1:14: trailing tokens after literal", "lex", 1, 14),
+    ("bad-name-then-comment", "kb", "lit (in a! A) # trailing comment",
+     "1:9: expected a name, got 'a!'", "lex", 1, 9),
+    ("name-at-two-sorts", "kb", "lit (in a A)\nlit (in A B)",
+     "2:9: name 'A' used at sort 1 and sort 0", "sort", 2, 9),
+    ("eq-with-three-names", "kb", "lit (eq a b c)",
+     "1:13: expected ')', got 'c'", "lex", 1, 13),
+    ("empty-or", "kb", "clause (forall z) (or)",
+     "1:23: or needs at least one literal", "arity", 1, 23),
+    ("empty-forall", "kb", "clause (forall) (or (in a A))",
+     "1:17: forall needs at least one variable", "arity", 1, 17),
+    ("repeated-quantifier", "kb", "clause (forall z z) (or (in z A))",
+     "1:21: quantified variables must be distinct", "duplicate", 1, 21),
+    ("quantifier-is-individual", "kb",
+     "ind z1\nclause (forall z1) (or (rel z1 z1 P))",
+     "2:16: quantified variable 'z1' is already a free name", "duplicate",
+     2, 16),
+    ("and-in-clause-body", "kb",
+     "clause (forall z) (or (and (in z A) (in z B)))",
+     "1:24: expected eq, in, rel or not, got 'and'", "lex", 1, 24),
+    ("trailing-after-clause", "kb", "clause (forall z) (or (in z A)) trailing",
+     "1:33: trailing tokens after clause", "lex", 1, 33),
+    ("clause-cut-at-end", "kb", "clause (forall z) (or (in z A)",
+     "1:31: unexpected end of line", "lex", 1, 31),
+    ("exists-not-forall", "kb", "clause (exists z) (or (in z A))",
+     "1:9: expected 'forall', got 'exists'", "lex", 1, 9),
+    ("forall-unclosed", "kb", "clause (forall z (or (in z A))",
+     "1:18: expected a name, got '('", "lex", 1, 18),
+    ("blank-line-and-indent", "kb", "lit (in a A)\n\n   lit   (rel a b R) )",
+     "3:22: trailing tokens after literal", "lex", 3, 22),
+    ("tabs-count-one-column", "kb", "lit\t(in a A)\t)",
+     "1:14: trailing tokens after literal", "lex", 1, 14),
+    ("quantifier-at-set-slot", "kb", "clause (forall z) (or (in z z))",
+     "1:29: name 'z' is already a quantified variable", "duplicate", 1, 29),
+    ("unbound-placeholder", "kb",
+     "clause (forall z1) (or (in z1 A))\nclause (forall z2) (or (in z1 A))",
+     "2:1: placeholder 'z1' is not bound by this clause", "duplicate", 2, 1),
+    ("q-unknown-symbol", "query", "(in Nowhere ?c)",
+     "1:5: unknown symbol 'Nowhere'", "unknown-symbol", 1, 5),
+    ("q-variable-at-two-sorts", "query", "(in ?x isPartOf) (rel Rome Italy ?x)",
+     "1:8: name 'isPartOf' has a different sort in the KB", "sort", 1, 8),
+    ("q-kb-name-at-wrong-sort", "query", "(in isPartOf ?c)",
+     "1:5: name 'isPartOf' has a different sort in the KB", "sort", 1, 5),
+    ("q-atom-cut", "query", "(in Rome ?c",
+     "1:12: unexpected end of line", "lex", 1, 12),
+    ("q-stray-close-paren", "query", "(in Rome ?c) )",
+     "1:14: expected '(', got ')'", "lex", 1, 14),
+    ("q-bare-question-mark", "query", "(in Rome ?c)\n(rel Rome ?",
+     "2:11: expected a name, got '?'", "lex", 2, 11),
+    ("q-nested-not", "query", "(not (not (in Rome ?c)))",
+     "1:2: nested negation is not allowed", "lex", 1, 2),
+    ("q-atom-without-parens", "query", "in Rome ?c",
+     "1:1: expected '(', got 'in'", "lex", 1, 1),
+    ("q-comment-then-bad-head", "query", "(in Rome ?c) # fine\n(nope Rome)",
+     "2:2: expected eq, in, rel or not, got 'nope'", "lex", 2, 2),
+    ("dl-and-with-one-operand", "dl", "subsume (and A) B",
+     "1:10: and needs at least two operands", "lex", 1, 10),
+    ("dl-close-paren-as-concept", "dl", "subsume ) B",
+     "1:9: expected a concept expression", "lex", 1, 9),
+    ("dl-trailing-after-axiom", "dl", "assert a C extra",
+     "1:12: trailing tokens after axiom", "arity", 1, 12),
+    ("dl-unknown-connective", "dl", "subsume (xor A B) C",
+     "1:10: expected not, and or or, got 'xor'", "lex", 1, 10),
+    ("dl-unknown-keyword", "dl", "wibble a",
+     "1:1: unknown axiom keyword 'wibble'", "lex", 1, 1),
+    ("dl-trailing-after-subsume", "dl", "subsume A B C",
+     "1:13: trailing tokens after subsume", "arity", 1, 13),
+    ("dl-short-chain", "dl", "chain R S",
+     "1:10: chain needs at least two left-hand roles and a right-hand "
+     "role", "arity", 1, 10),
+    ("dl-role-cut", "dl", "role a b",
+     "1:9: unexpected end of line", "lex", 1, 9),
+    ("dl-paren-as-name", "dl", "assert a (C) # comment",
+     "1:10: expected a name, got '('", "lex", 1, 10),
+]
+
+
+def _parse(grammar: str, text: str, kb=None):
+    if grammar == "kb":
+        return parse_kb(text)
+    if grammar == "query":
+        return parse_query(text, kb if kb is not None else parse_kb(ITALY_KB))
+    return parse_dl(text)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("grammar,text,message,kind,line,column",
+                             [pytest.param(*row[1:], id=row[0])
+                              for row in GOLDEN])
+    def test_golden(self, grammar, text, message, kind, line, column):
+        for _ in range(2):      # the same input, the same diagnostic
+            with pytest.raises(ParseError) as err:
+                _parse(grammar, text)
+            got = err.value
+            assert (str(got), got.kind, got.span.line, got.span.column) == (
+                message, kind, line, column)
+
+
+# Token-level mutations: delete, insert or replace one token from this
+# vocabulary ("" deletes in effect; "#" comments out the rest of a line).
+_VOCAB = ("ind", "lit", "clause", "forall", "or", "not", "eq", "in", "rel",
+          "and", "subsume", "assert", "top", "(", ")", "a", "b", "A", "R",
+          "qz1", "?x", "#", "", "\n")
+_EDITS = st.lists(st.tuples(st.sampled_from("dir"), st.integers(0, 999),
+                            st.sampled_from(_VOCAB)), max_size=4)
+
+
+def _mutate(text: str, edits) -> str:
+    toks = re.findall(r"\n|\(|\)|[^\s()]+", text)
+    for op, at, word in edits:
+        at %= len(toks) + 1
+        if op == "d":
+            del toks[at:at + 1]
+        elif op == "i":
+            toks.insert(at, word)
+        else:
+            toks[at:at + 1] = [word]
+    return " ".join(toks)
+
+
+class TestParserFuzz:
+    """Every mutant either parses or raises ``ParseError`` (DL input may
+    also name an unsupported construct), with a span that points into
+    the input and a message that starts with it."""
+
+    @staticmethod
+    def _check(grammar: str, text: str, kb=None) -> None:
+        try:
+            _parse(grammar, text, kb)
+        except ParseError as err:
+            span = err.span
+            assert 1 <= span.line <= max(1, len(text.splitlines()))
+            assert span.column >= 1
+            assert str(err).startswith(f"{span.line}:{span.column}: ")
+        except UnsupportedAxiomError:
+            assert grammar == "dl"
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), kb_edits=_EDITS, q_edits=_EDITS)
+    def test_kb_and_query_mutants(self, seed, kb_edits, q_edits):
+        rng = random.Random(seed)
+        text = gen_random_kb(rng)
+        query = gen_random_query(rng, parse_kb(text))
+        self._check("kb", _mutate(text, kb_edits))
+        self._check("query", _mutate(query, q_edits), parse_kb(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(edits=_EDITS)
+    def test_dl_mutants(self, edits):
+        text = ITALY_DL + "subsume (and A (not B)) (or C top)\nchain R S T\n"
+        self._check("dl", _mutate(text, edits))
 
 
 class TestParseQuery:

@@ -4,8 +4,9 @@ Subcommands: ``check`` (consistency), ``models`` (extracted branch
 models), ``query`` (HO conjunctive query answering), ``translate``
 (DL axioms to KB text), ``oracle`` (brute-force ground truth), ``bench``
 (three-engine comparison).  Exit codes: 0 success (and consistent, for
-check), 1 inconsistent, 2 usage or parse error or an input file that
-cannot be read as UTF-8 text, 3 resource limit.
+check), 1 inconsistent, 2 usage or parse error, an input file that
+cannot be read as UTF-8 text or an output file that cannot be written,
+3 resource limit.
 """
 
 from __future__ import annotations
@@ -132,6 +133,17 @@ def _read(path: Path) -> str:
         raise FourlqsError(f"{path}: {err.strerror or err}") from None
 
 
+def _write(path: Path, text: str, mode: str = "w") -> None:
+    """Write ``text`` to an output file; one that cannot be written is a
+    usage error, not a crash.  Appending nothing (``mode="a"``) checks a
+    path before any work is done."""
+    try:
+        with path.open(mode, encoding="utf-8") as out:
+            out.write(text)
+    except OSError as err:
+        raise FourlqsError(f"{path}: {err.strerror or err}") from None
+
+
 def _cmd_check(args) -> int:
     kb = parse_kb(_read(args.kb))
     result = saturate(kb, _options(args, collect=False), engine=args.engine)
@@ -145,9 +157,11 @@ def _cmd_check(args) -> int:
 def _cmd_models(args) -> int:
     kb = parse_kb(_read(args.kb))
     result = saturate(kb, _options(args, collect=True), engine=args.engine)
-    build = ModelBuilder(result.compiled)
-    reports = [build.report(*branch) for branch in result.packed]
-    print(json.dumps({"models": reports}, sort_keys=True))
+    models = []
+    if result.packed:  # an inconsistent KB needs no model builder
+        render = ModelBuilder(result.compiled).render
+        models = [render(*branch) for branch in result.packed]
+    print('{"models": [' + ", ".join(models) + "]}")
     return 0
 
 
@@ -225,15 +239,18 @@ def _cmd_bench(args) -> int:
                       quantifiers=args.quantifiers,
                       repetitions=args.repetitions, seed=args.seed,
                       parallel=args.parallel, workers=args.workers)
+    for path in (args.csv, args.json_out):
+        if path:
+            _write(path, "", mode="a")
     report = run_bench(cfg, progress=lambda msg: print(f"# {msg}",
                                                        file=sys.stderr))
     csv_text = report.to_csv()
     if args.csv:
-        args.csv.write_text(csv_text)
+        _write(args.csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.json_out:
-        args.json_out.write_text(report.to_json())
+        _write(args.json_out, report.to_json())
     for engine in cfg.engines:
         walls = sorted(report.wall_ms(engine))
         med = walls[len(walls) // 2]

@@ -56,6 +56,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import xor
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -319,94 +321,183 @@ class Branch:
 
 
 class ModelBuilder:
-    """Model reports read straight off packed branches.
+    """Model reports rendered straight from packed branches as JSON text.
 
-    ``report(lit_ints, sigma_items)`` makes every check
-    ``oracle.extract_model`` makes -- no complementary pair, no negated
-    x=x, no equality between distinct individuals, every clause instance
-    over the merged individuals fulfilled -- and returns the dict
-    ``syntax.render_model_report`` renders for the same model: the
-    merged individuals as domain, the positive membership literals as
-    extents.  Only the names it prints are decoded; ground instances are
-    built once per distinct merge map.
+    ``render(lit_ints, sigma_items)`` returns, byte for byte, the text
+    ``syntax.render_model_report`` gives for ``oracle.extract_model``'s
+    model of the same branch: the merged individuals as domain, and per
+    set variable (keys sorted) the sorted, deduplicated extent read off
+    the positive membership literals.  It makes every check
+    ``extract_model`` makes, as set operations over the branch:
+
+    * no complementary pair;
+    * when the KB mentions equality, no negated x=x and no equality
+      between distinct individuals (a branch of any other KB holds no
+      equality literal);
+    * every clause instance over the merged individuals is fulfilled.
+
+    When a literal check fails, the literals are walked in branch order
+    and the first one at fault names the error, its complementary-pair
+    test before its equality tests.  The literal checks all run before
+    the instances, which are tried in clause-then-tau order, so the
+    first unfulfilled one names the error.
+
+    The text is the domain prefix, then the text of a model with every
+    extent empty, with each extent's members inserted just inside its
+    ``[``.  An extent member's key is that insertion offset, then the
+    name ranks of its individuals, so one sort of a branch's keys lays
+    out every extent; its JSON fragment is quoted once per builder.  Per
+    distinct merge map, the domain prefix and the clause instances are
+    built once, and a table from literal integer to key is filled as
+    literals are first seen.
     """
 
-    __slots__ = ("comp", "_names1", "_names3", "_fields", "_by_sigma")
+    __slots__ = ("comp", "_names", "_quoted", "_rank", "_kk", "_pos",
+                 "_empty", "_frag", "_more_frag", "_by_sigma")
 
     def __init__(self, comp: CompiledKb):
         self.comp = comp
-        self._names1 = [v.name for v in comp.set1s]
-        self._names3 = [v.name for v in comp.set3s]
-        self._fields: Dict[int, Tuple[int, int, int, int]] = {}
-        self._by_sigma: Dict[Tuple, Tuple[List[str], List[str], List]] = {}
+        self._names = names = [v.name for v in comp.inds]
+        # encode_basestring_ascii is what json.dumps applies to a str.
+        self._quoted = list(map(encode_basestring_ascii, names))
+        # _rank[i] is the place of individual i's name in sorted order.
+        order = sorted(range(len(names)), key=names.__getitem__)
+        self._rank = sorted(range(len(names)), key=order.__getitem__)
+        self._kk = comp.kk
+        # The text of a model after its domain prefix, with every extent
+        # empty: sets1 then sets3, each in sorted name order.  A set's
+        # position is the offset just inside its extent's "[", where its
+        # members go.
+        self._pos: List[int] = [0] * comp.nsym
+        parts, size = [], 0
+        n1 = len(comp.set1s)
+        for group, offset, close in ((comp.set1s, 1, '}, "sets3": {'),
+                                     (comp.set3s, 1 + n1, "}}")):
+            sep = ""
+            for name, sym in sorted([(v.name, offset + i)
+                                     for i, v in enumerate(group)]):
+                head = sep + encode_basestring_ascii(name) + ": ["
+                self._pos[sym] = size + len(head)
+                parts.append(head + "]")
+                size += len(head) + 1
+                sep = ", "
+            parts.append(close)
+            size += len(close)
+        self._empty = "".join(parts)
+        self._frag: Dict[int, str] = {}
+        self._more_frag: Dict[int, str] = {}
+        self._by_sigma: Dict[Tuple, Tuple[str, List, List, Dict[int, int],
+                                         Dict[int, int]]] = {}
+
+    def _key(self, sigma: Dict[int, int], lit_int: int) -> int:
+        """A literal's extent key under a merge map, or -1 for a negated
+        or equality literal.  The member's JSON fragment is recorded on
+        first sight."""
+        kind, sym, a, b = self.comp.fields(lit_int)
+        if lit_int & 1 or kind == KIND_EQ:
+            return -1
+        rank, quoted = self._rank, self._quoted
+        a = sigma.get(a, a)
+        key = self._pos[sym] * self._kk
+        if kind == KIND_IN1:
+            key += rank[a]
+            frag = quoted[a]
+        else:
+            b = sigma.get(b, b)
+            key += rank[a] * self.comp.k + rank[b]
+            frag = f"[{quoted[a]}, {quoted[b]}]"
+        if key not in self._frag:
+            self._frag[key] = frag
+            self._more_frag[key] = ", " + frag
+        return key
 
     def _merged(self, sigma_items: Tuple[Tuple[int, int], ...]):
-        """Individual names under the merge map, the domain, and every
-        clause instance over the merged individuals."""
+        """The domain prefix, every clause instance over the merged
+        individuals with its (clause, tau) label, the merge map as a
+        dict, and the table from literal integer to extent key, for one
+        merge map."""
         hit = self._by_sigma.get(sigma_items)
         if hit is not None:
             return hit
         sigma_map = dict(sigma_items)
         comp = self.comp
-        names = [comp.inds[sigma_map.get(i, i)].name
-                 for i in range(len(comp.inds))]
         canon = list(dict.fromkeys(sigma_map.get(i, i)
                                    for i in range(len(comp.inds))))
-        instances = []
+        instances, labels = [], []
         for cl, (m, specs) in zip(comp.kb.clauses, comp.clause_specs):
-            merged = []
-            for const, ia, ib in specs:
-                kind, sym, a, b = comp.fields(const)
-                if ia < 0:
-                    a = sigma_map.get(a, a)
-                if ib < 0 and kind != KIND_IN1:
-                    b = sigma_map.get(b, b)
-                merged.append((comp.pack(kind, sym, a, b, const & 1), ia, ib))
+            merged = specs  # with no merges, the clause's own disjuncts
+            if sigma_map:
+                merged = []
+                for const, ia, ib in specs:
+                    kind, sym, a, b = comp.fields(const)
+                    if ia < 0:
+                        a = sigma_map.get(a, a)
+                    if ib < 0 and kind != KIND_IN1:
+                        b = sigma_map.get(b, b)
+                    merged.append((comp.pack(kind, sym, a, b, const & 1),
+                                   ia, ib))
             for tau in itertools.product(canon, repeat=m):
-                instances.append((cl, tau, comp.instantiate(merged, tau)))
+                instances.append(comp.instantiate(merged, tau))
+                labels.append((cl, tau))
+        prefix = ('{"domain": [' + ", ".join([self._quoted[c] for c in canon])
+                  + '], "sets1": {')
         hit = self._by_sigma[sigma_items] = (
-            names, [comp.inds[c].name for c in canon], instances)
+            prefix, instances, labels, sigma_map, {})
         return hit
 
-    def report(self, lit_ints: Tuple[int, ...],
-               sigma_items: Tuple[Tuple[int, int], ...]) -> dict:
-        """The model report of one packed branch: its literal integers
-        and its merge map's sorted items."""
+    def render(self, lit_ints: Tuple[int, ...],
+               sigma_items: Tuple[Tuple[int, int], ...]) -> str:
+        """The model report text of one packed branch: its literal
+        integers and its merge map's sorted items."""
         comp = self.comp
-        names, domain, instances = self._merged(sigma_items)
+        prefix, instances, labels, sigma_map, table = \
+            self._merged(sigma_items)
         lits = set(lit_ints)
-        fields = self._fields
-        n1 = len(self._names1)
-        sets1 = {name: set() for name in self._names1}
-        sets3 = {name: set() for name in self._names3}
+        if not lits.isdisjoint(map(xor, lit_ints, itertools.repeat(1))) or (
+                comp.has_eq and not (lits.isdisjoint(comp.eq_pos)
+                                     and lits.isdisjoint(comp.neg_eq_diag))):
+            self._literal_fault(lit_ints, lits)
+        if any(map(lits.isdisjoint, instances)):
+            for (cl, tau), inst in zip(labels, instances):
+                if lits.isdisjoint(inst):
+                    raise PreconditionError(
+                        f"branch does not fulfill {cl!r} at "
+                        f"{[self._names[t] for t in tau]}")
+        keys = set(map(table.get, lit_ints))
+        if None in keys:  # a literal not yet seen under this merge map
+            for l in lit_ints:
+                if l not in table:
+                    table[l] = self._key(sigma_map, l)
+            keys = set(map(table.__getitem__, lit_ints))
+        keys.discard(-1)
+        kk, empty, frag, more_frag = (self._kk, self._empty, self._frag,
+                                      self._more_frag)
+        text = [prefix]
+        at = 0
+        for key in sorted(keys):
+            pos = key // kk
+            if pos == at:
+                text.append(more_frag[key])
+            else:
+                text.append(empty[at:pos])
+                text.append(frag[key])
+                at = pos
+        text.append(empty[at:])
+        return "".join(text)
+
+    def _literal_fault(self, lit_ints: Tuple[int, ...], lits: set) -> None:
+        """Raise for the first literal, in branch order, that closes the
+        branch or still equates distinct individuals."""
         for l in lit_ints:
             if (l ^ 1) in lits:
                 raise PreconditionError("branch is closed (complementary pair)")
-            f = fields.get(l)
-            if f is None:
-                f = fields[l] = comp.fields(l)
-            kind, sym, a, b = f
+            kind, sym, a, b = self.comp.fields(l)
             if kind == KIND_EQ:
                 if a == b and l & 1:
                     raise PreconditionError("branch is closed (negated x=x)")
                 if a != b and not l & 1:
                     raise PreconditionError("branch still carries an equality "
                                             "between distinct variables")
-            elif l & 1:
-                continue
-            elif kind == KIND_IN1:
-                sets1[self._names1[sym - 1]].add(names[a])
-            else:
-                sets3[self._names3[sym - 1 - n1]].add((names[a], names[b]))
-        for cl, tau, inst in instances:
-            if lits.isdisjoint(inst):
-                raise PreconditionError(
-                    f"branch does not fulfill {cl!r} at "
-                    f"{[comp.inds[t].name for t in tau]}")
-        return {"domain": domain,
-                "sets1": {s: sorted(e) for s, e in sets1.items()},
-                "sets3": {r: [list(p) for p in sorted(e)]
-                          for r, e in sets3.items()}}
 
 
 @dataclass(slots=True)

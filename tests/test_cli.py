@@ -207,3 +207,19 @@ class TestBench:
         rows = json.loads(json_path.read_text())["rows"]
         assert {r["engine"] for r in rows} == {"keg", "ke"}
         assert csv_path.read_text().startswith("engine,")
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json-out"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, flag, where, tmp_path,
+                                                 capsys):
+        """Exit 2 with one ``error:`` line, before the benchmark runs (it
+        would print progress on stderr and CSV on stdout)."""
+        path = (tmp_path if where == "directory"
+                else tmp_path / "missing" / "x.out")
+        assert main(["bench", "--individuals", "1", "--engines", "keg",
+                     flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

@@ -679,56 +679,133 @@ class TestModelLevelSoundness:
         assert fired >= 10
 
 
-def _reference_reports(result, kb):
+def _reference_texts(result, kb):
+    """``syntax.render_model_report`` of ``oracle.extract_model``'s model
+    of every open branch."""
     from fourlqs.oracle import extract_model
     from fourlqs.syntax import render_model_report
-    return [json.loads(render_model_report(extract_model(br, sigma, kb)))
+    return [render_model_report(extract_model(br, sigma, kb))
             for br, sigma in result.open_complete]
 
 
-def _packed_reports(result):
-    build = ModelBuilder(result.compiled)
-    return [build.report(*branch) for branch in result.packed]
+def _rendered_texts(result):
+    render = ModelBuilder(result.compiled).render
+    return [render(*branch) for branch in result.packed]
+
+
+def _assert_models_match_reference(text, tmp_path, capsys):
+    """Every branch of ``text``'s KB renders to the reference text byte
+    for byte, and ``fourlqs models`` prints those reports as one JSON
+    document.  Returns the saturation result."""
+    from fourlqs.cli import main
+    kb = parse_kb(text)
+    res = saturate(kb)
+    expected = _reference_texts(res, kb)
+    assert _rendered_texts(res) == expected
+    path = tmp_path / "kb.4lqs"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["models", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps({"models": [json.loads(t) for t in expected]},
+                             sort_keys=True) + "\n"
+    return res
+
+
+_GOLDEN_KB = "ind a b\nlit (eq a a)\nclause (forall z1) (or (in z1 A))"
+_GOLDEN_FULFIL = "branch does not fulfill (∀z1)(z1∈A) at "
+
+# (id, KB text, branch literals in branch order, merge map items, the
+# exact PreconditionError text).  Rows with two faults pin which check
+# wins: the literal checks, in branch order, before any clause instance,
+# and the instances in clause-then-tau order.
+_ERROR_GOLDEN = [
+    ("complementary", _GOLDEN_KB,
+     ["(in a A)", "(in b A)", "(not (in a A))"], (),
+     "branch is closed (complementary pair)"),
+    ("negated-x=x", _GOLDEN_KB,
+     ["(not (eq a a))", "(in a A)", "(in b A)"], (),
+     "branch is closed (negated x=x)"),
+    ("distinct-equality", _GOLDEN_KB,
+     ["(eq a b)", "(in a A)", "(in b A)"], (),
+     "branch still carries an equality between distinct variables"),
+    ("unfulfilled", _GOLDEN_KB, ["(in a A)"], (), _GOLDEN_FULFIL + "['b']"),
+    ("unfulfilled-twice", _GOLDEN_KB, [], (), _GOLDEN_FULFIL + "['a']"),
+    ("unfulfilled-merged", _GOLDEN_KB, [], ((1, 0),),
+     _GOLDEN_FULFIL + "['a']"),
+    ("unfulfilled-two-quantifiers",
+     "ind a b\nclause (forall z1 z2) (or (rel z1 z2 R))",
+     ["(rel a a R)", "(rel a b R)"], (),
+     "branch does not fulfill (∀z1)(∀z2)(⟨z1,z2⟩∈R) at ['b', 'a']"),
+    ("complementary-then-negated-x=x", _GOLDEN_KB,
+     ["(in a A)", "(not (in a A))", "(not (eq a a))", "(in b A)"], (),
+     "branch is closed (complementary pair)"),
+    ("negated-x=x-then-complementary", _GOLDEN_KB,
+     ["(not (eq a a))", "(in a A)", "(not (in a A))", "(in b A)"], (),
+     "branch is closed (negated x=x)"),
+    ("complementary-and-unfulfilled", _GOLDEN_KB,
+     ["(in a A)", "(not (in a A))"], (),
+     "branch is closed (complementary pair)"),
+    ("complementary-after-unfulfilled-instance", _GOLDEN_KB,
+     ["(not (in b A))", "(in b A)"], (),
+     "branch is closed (complementary pair)"),
+    ("distinct-equality-and-unfulfilled", _GOLDEN_KB,
+     ["(eq a b)", "(in a A)"], (),
+     "branch still carries an equality between distinct variables"),
+    ("complementary-equalities", _GOLDEN_KB,
+     ["(eq a b)", "(not (eq a b))", "(in a A)", "(in b A)"], (),
+     "branch is closed (complementary pair)"),
+    ("distinct-equality-then-negated-x=x", _GOLDEN_KB,
+     ["(eq a b)", "(not (eq a a))", "(in a A)", "(in b A)"], (),
+     "branch still carries an equality between distinct variables"),
+    ("negated-x=x-then-distinct-equality", _GOLDEN_KB,
+     ["(not (eq a a))", "(eq a b)", "(in a A)", "(in b A)"], (),
+     "branch is closed (negated x=x)"),
+]
 
 
 class TestModelBuilder:
     """The packed model builder against ``oracle.extract_model``."""
 
-    def test_random_corpus_matches_reference(self):
+    def test_random_corpus_matches_reference(self, tmp_path, capsys):
         rng = random.Random(7301)
         merged = models = 0
         for _ in range(100):
-            kb = parse_kb(gen_random_kb(rng))
-            res = saturate(kb)
-            assert _packed_reports(res) == _reference_reports(res, kb)
+            res = _assert_models_match_reference(gen_random_kb(rng),
+                                                 tmp_path, capsys)
             models += res.open_count
             merged += sum(1 for br, _ in res.open_complete if br.sigma_map)
         assert models > 100 and merged > 0
 
     @pytest.mark.parametrize("individuals", [1, 2, 3])
-    def test_product_family_matches_reference(self, individuals):
+    def test_product_family_matches_reference(self, individuals, tmp_path,
+                                              capsys):
         from fourlqs.bench import BenchConfig, gen_family
-        kb = parse_kb(gen_family(BenchConfig(individuals=individuals,
-                                             clauses=1)))
-        res = saturate(kb)
-        assert _packed_reports(res) == _reference_reports(res, kb)
+        _assert_models_match_reference(
+            gen_family(BenchConfig(individuals=individuals, clauses=1)),
+            tmp_path, capsys)
 
     @pytest.mark.parametrize("text", [MERGE_KB,
                                       "ind a b\nlit (eq a b)\nlit (in a A)"])
-    def test_merge_kbs_match_reference(self, text):
-        kb = parse_kb(text)
-        res = saturate(kb)
-        assert _packed_reports(res) == _reference_reports(res, kb)
+    def test_merge_kbs_match_reference(self, text, tmp_path, capsys):
+        _assert_models_match_reference(text, tmp_path, capsys)
 
-    def test_translated_functional_ontology_matches_reference(self):
+    def test_names_out_of_order_match_reference(self, tmp_path, capsys):
+        """Individuals and sets declared out of name order: extents and
+        set keys must still come out in sorted name order."""
+        _assert_models_match_reference(
+            "ind c a b\nlit (in c Z)\nlit (in a Z)\nlit (rel c a R)\n"
+            "lit (rel a b R)\nlit (rel b a Q)\n"
+            "clause (forall z1) (or (in z1 Y) (in z1 B))", tmp_path, capsys)
+
+    def test_translated_functional_ontology_matches_reference(self, tmp_path,
+                                                              capsys):
         from fourlqs.dlfront import parse_dl, translate_kb
         from fourlqs.syntax import render_kb
-        kb = parse_kb(render_kb(translate_kb(parse_dl(
+        res = _assert_models_match_reference(render_kb(translate_kb(parse_dl(
             "fun R\nrole a b R\nrole a c R\nrole c a S\nassert b A\n"
-            "subsume A B\n"))))
-        res = saturate(kb)
+            "subsume A B\n"))), tmp_path, capsys)
         assert any(br.sigma_map for br, _ in res.open_complete)
-        assert _packed_reports(res) == _reference_reports(res, kb)
 
     def _branch(self, text, lits, sigma_items=()):
         """A model builder and one hand-built packed branch."""
@@ -742,27 +819,38 @@ class TestModelBuilder:
         a_in = Literal(True, Member1(var0("a"), var1("A")))
         build, br = self._branch("lit (in a A)", [a_in, complement(a_in)])
         with pytest.raises(PreconditionError, match="complementary"):
-            build.report(*br)
+            build.render(*br)
 
     def test_negated_trivial_equality_rejected(self):
         build, br = self._branch("lit (not (eq a a))",
                                  [Literal(False, Eq(var0("a"), var0("a")))])
         with pytest.raises(PreconditionError, match="x=x"):
-            build.report(*br)
+            build.render(*br)
 
     def test_equality_between_distinct_individuals_rejected(self):
         build, br = self._branch("lit (eq a b)",
                                  [Literal(True, Eq(var0("a"), var0("b")))])
         with pytest.raises(PreconditionError, match="equality"):
-            build.report(*br)
+            build.render(*br)
 
     def test_unfulfilled_instance_rejected(self):
         text = "ind a b\nclause (forall z1) (or (in z1 A))"
         a_in = Literal(True, Member1(var0("a"), var1("A")))
         build, br = self._branch(text, [a_in])
         with pytest.raises(PreconditionError, match="does not fulfill"):
-            build.report(*br)
+            build.render(*br)
         # Merging b into a leaves a single instance, which a_in fulfils.
         build, br = self._branch(text, [a_in], ((1, 0),))
-        assert build.report(*br) == {"domain": ["a"], "sets1": {"A": ["a"]},
-                                    "sets3": {}}
+        assert build.render(*br) == (
+            '{"domain": ["a"], "sets1": {"A": ["a"]}, "sets3": {}}')
+
+    @pytest.mark.parametrize("text,lits,sigma_items,message",
+                             [row[1:] for row in _ERROR_GOLDEN],
+                             ids=[row[0] for row in _ERROR_GOLDEN])
+    def test_error_golden(self, text, lits, sigma_items, message):
+        build, br = self._branch(
+            text, [parse_kb("ind a b\nlit " + t).literals[0] for t in lits],
+            sigma_items)
+        with pytest.raises(PreconditionError) as err:
+            build.render(*br)
+        assert str(err.value) == message

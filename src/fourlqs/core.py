@@ -230,6 +230,11 @@ class KnowledgeBase:
         return None
 
 
+def _unbound(v: Variable) -> NamespaceError:
+    return NamespaceError(f"placeholder {v.name!r} is not bound by this clause",
+                          "duplicate")
+
+
 class KbBuilder:
     """Accumulates conjuncts while enforcing the naming discipline.
 
@@ -294,9 +299,7 @@ class KbBuilder:
             if v.quantified:
                 raise ValueError("ground literals cannot contain placeholders")
             self._register(v)
-        if lit not in self._literal_set:
-            self._literal_set.add(lit)
-            self._literals.append(lit)
+        self.append_literal(lit)
 
     def add_clause(self, clause: UniversalClause) -> None:
         for z in clause.quantified:
@@ -305,11 +308,32 @@ class KbBuilder:
         for d in clause.disjuncts:
             for v in atom_vars(d.atom):
                 if v.quantified and v not in bound:
-                    raise NamespaceError(
-                        f"placeholder {v.name!r} is not bound by this clause",
-                        "duplicate")
+                    raise _unbound(v)
                 if not v.quantified:
                     self._register(v)
+        self._keep_clause(clause)
+
+    # The parser resolves every name through this builder (``free`` and
+    # ``quantified``) as it reads it, so its conjuncts skip the
+    # registration above.
+
+    def append_literal(self, lit: Literal) -> None:
+        """Add a ground literal whose names came from this builder."""
+        if lit not in self._literal_set:
+            self._literal_set.add(lit)
+            self._literals.append(lit)
+
+    def append_clause(self, clause: UniversalClause) -> None:
+        """Add a clause whose names came from this builder; only the
+        check that every placeholder is bound by the clause runs."""
+        bound = set(clause.quantified)
+        for d in clause.disjuncts:
+            for v in atom_vars(d.atom):
+                if v.quantified and v not in bound:
+                    raise _unbound(v)
+        self._keep_clause(clause)
+
+    def _keep_clause(self, clause: UniversalClause) -> None:
         if clause not in self._clause_set:
             self._clause_set.add(clause)
             self._clauses.append(clause)

@@ -6,9 +6,14 @@ which is exactly the comparison the benchmark harness isolates:
 
 * ``keg``  -- the fused elimination rule: each (clause, instantiation)
   pair is ground-instantiated on the fly when the explorer's clause/tau
-  cursor reaches it and the instance is discarded immediately afterwards;
-  nothing instance-shaped is ever stored, and the cursor position itself
-  witnesses fulfillment, so there is no per-instance branch state at all.
+  cursor reaches it.  No instance lives on the branch, and the cursor
+  position itself witnesses fulfillment, so there is no per-instance
+  branch state.  keg keeps, per pending complement child, the one
+  instance that child's split was made on, so the child resumes it
+  instead of instantiating it again: one instance per level of the
+  explicit stack, at most ``peak_stack_depth`` + 1, and never a
+  grounding.  ``peak_resident_formulae`` still counts the current branch
+  only.
 * ``ke``   -- classic elimination over an up-front grounding: every
   instance is materialised before exploration and lives on the branch as
   a formula.  Each expansion step re-selects the first not-yet-fulfilled
@@ -631,6 +636,54 @@ class ProbeExpired(Exception):
     deadline; what the run gathered until then is discarded."""
 
 
+def _keg_select(comp: CompiledKb, bset: set, stack: list):
+    """keg's selection policy for one :func:`_run`: the first job at or
+    after the cursor whose instance no branch literal discharges, built
+    when the cursor reaches it.  The cursor witnesses that every earlier
+    job is discharged, so no instance has to stay on the branch.
+
+    One instance is kept per level of the explicit stack: ``held[d]`` is
+    the last one selected while ``stack`` held ``d`` entries.  A split on
+    it pushes its complement child as entry ``d``, and the whole
+    fulfilling subtree runs above that entry, so when the child is popped
+    ``held[d]`` is still the instance it split on.  The child resumes
+    that instance without instantiating it again, unless the complement
+    literal is itself one of its disjuncts: then the child discharges it
+    and the scan goes on from the next job.  A call resumes exactly when
+    its cursor is not past the last job selected, since the explorer
+    otherwise moves the cursor one past it.
+    """
+    jobs = comp.jobs
+    njobs = len(jobs)
+    instantiate = comp.instantiate
+    held: List[List[int]] = []
+    last = -1
+
+    def select(j):
+        nonlocal last
+        if j <= last:
+            lits = held[len(stack)]
+            if bset.isdisjoint(lits):
+                last = j
+                return j, lits
+            j += 1
+        while j < njobs:
+            specs, tau = jobs[j]
+            lits = instantiate(specs, tau)
+            if bset.isdisjoint(lits):
+                d = len(stack)
+                if d < len(held):
+                    held[d] = lits
+                else:
+                    held.append(lits)
+                last = j
+                return j, lits
+            j += 1
+        last = j
+        return j, None
+    return select
+
+
 def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
          script: Optional[Sequence[int]] = None,
          deadline: Optional[float] = None,
@@ -700,21 +753,17 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     base_resident = njobs if engine == "ke" else len(comp.clause_specs)
 
     # Selection policies.  keg builds the instance at the cursor when it
-    # gets there and never stores it: the cursor witnesses that every
-    # earlier job is discharged.  ke and foke keep their instances as
+    # gets there and stores none on the branch: the cursor witnesses that
+    # every earlier job is discharged.  It keeps, per pending complement
+    # child, only the instance that child's split was made on, and never
+    # a grounding (see _keg_select).  ke and foke keep their instances as
     # branch formulae and re-inspect them from the first at every step,
     # the cost the fused rule avoids; their cursor is never read.  foke
     # parks the next job's instance on the branch when every resident is
     # discharged, and residents pop on backtrack.
+    stack: List[Tuple[int, int, int, int, int, int]] = []
     if engine == "keg":
-        def select(j):
-            while j < njobs:
-                specs, tau = jobs[j]
-                lits = instantiate(specs, tau)
-                if bset.isdisjoint(lits):
-                    return j, lits
-                j += 1
-            return j, None
+        select = _keg_select(comp, bset, stack)
     elif engine == "ke":
         instances = comp.instances
 
@@ -754,7 +803,6 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             if has_eq and l in eq_pos:
                 eqlits.append(divmod(l >> 1, kdim))
 
-    stack: List[Tuple[int, int, int, int, int, int]] = []
     limited = None
     leaf = True if root_closed else None  # True closed, False open
     lit, j, depth = -1, 0, 0              # lit: the literal to add next

@@ -227,7 +227,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             lit = _parse_atom(p, names, quantified_ok=False, allow_query=False)
             if not p.done():
                 raise p.fail("trailing tokens after literal")
-            builder.add_literal(lit)
+            builder.append_literal(lit)
         elif head == "clause":
             p.expect("(")
             p.expect("forall")
@@ -253,7 +253,7 @@ def parse_kb(text: str) -> KnowledgeBase:
             if not p.done():
                 raise p.fail("trailing tokens after clause")
             try:
-                builder.add_clause(UniversalClause(tuple(zs), tuple(disjuncts)))
+                builder.append_clause(UniversalClause(tuple(zs), tuple(disjuncts)))
             except NamespaceError as err:
                 raise ParseError(SourceSpan(lineno, 1), str(err), err.kind) from None
         else:

@@ -854,3 +854,78 @@ class TestModelBuilder:
         with pytest.raises(PreconditionError) as err:
             build.render(*br)
         assert str(err.value) == message
+
+
+# keg's complement child resumes the instance its split was made on.  At
+# z = z1 these clauses ground to an instance that holds the complement
+# literal itself, so the child discharges it, or that holds one disjunct
+# twice, so the child's remaining disjuncts can run out.
+RESUME_KBS = {
+    "tautologous": "ind a b\nlit (in b B)\n"
+                   "clause (forall z z1) (or (in z A) (not (in z1 A)) (in z B))\n",
+    "duplicate": "ind a b\nlit (not (in b B))\n"
+                 "clause (forall z z1) (or (in z A) (in z1 A) (in z B))\n",
+    "eq-tautologous": "ind a b\nlit (in b B)\n"
+                      "clause (forall z z1) (or (eq z b) (not (eq z1 b)) (in z B))\n",
+    "eq-duplicate": "ind a b c\nlit (not (in c B))\n"
+                    "clause (forall z z1) (or (eq z a) (eq z1 a) (in z1 B))\n",
+    "eq-both": "ind a b c\nlit (not (in c B))\n"
+               "clause (forall z z1) (or (eq z z1) (not (eq z z1)) (in z B))\n"
+               "clause (forall z z1) (or (eq z a) (eq z1 a) (in z1 A))\n",
+}
+
+
+class TestKegResume:
+    @pytest.mark.parametrize("name", sorted(RESUME_KBS))
+    def test_engines_match_reference(self, name):
+        kb = parse_kb(RESUME_KBS[name])
+        ref_branches, ref_closed = reference_saturate(kb)
+        ref = sorted(_named_branch(b.literals, b.sigma) for b in ref_branches)
+        signatures = set()
+        for engine in ("keg", "ke", "foke"):
+            for workers in (1, 2):
+                res = saturate(kb, EngineOptions(workers=workers),
+                               engine=engine)
+                assert (res.open_count, res.closed_count) == \
+                    (len(ref_branches), ref_closed), (engine, workers)
+                assert sorted(_named_branch(br.literals, sigma)
+                              for br, sigma in res.open_complete) == ref
+                s = res.stats
+                signatures.add((res.open_count, res.closed_count, s.rule_apps,
+                                s.pb_apps, s.peak_stack_depth))
+        assert len(signatures) == 1 and s.pb_apps > 0
+
+    def test_complement_child_builds_no_instance(self, monkeypatch):
+        """Every selection but a resumed one builds its instance, and on
+        this KB every complement child resumes: keg builds fewer
+        instances than it selects."""
+        from fourlqs.engine import CompiledKb
+        built = []
+        real = CompiledKb.instantiate
+
+        def counting(comp, specs, tau):
+            built.append(tau)
+            return real(comp, specs, tau)
+
+        monkeypatch.setattr(CompiledKb, "instantiate", counting)
+        stats = saturate(_paper_kb(NOT_AB), EngineOptions(
+            collect_branches=False)).stats
+        assert len(built) < stats.rule_apps + stats.pb_apps
+
+    def test_keg_peak_bytes_below_ke(self):
+        """The kept instances leave keg's traced peak, compile included,
+        below ke's on the 7,058-branch KB."""
+        import tracemalloc
+        kb = _paper_kb(NOT_AB)
+        opts = EngineOptions(collect_branches=False)
+        peaks = {}
+        for engine in ("keg", "ke"):
+            saturate(kb, opts, engine=engine)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert saturate(kb, opts, engine=engine).open_count == 7_058
+                peaks[engine] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks["keg"] < peaks["ke"], peaks

@@ -7,11 +7,8 @@ from .core import (EPSILON, SORT0, SORT1, SORT3, Eq, FourlqsError,
                    Substitution, UniversalClause, Variable, apply_substitution,
                    complement, compose, free_vars, qvar0, substitution0, var0,
                    var1, var3)
-from .engine import (Branch, EngineOptions, EngineStats, Instantiation,
-                     ResourceLimitError, SaturationResult, egamma,
-                     equality_normalize, is_closed, is_fulfilled, saturate,
-                     select_pb_literal)
-from .baselines import saturate_foke, saturate_ke
+from .engine import (Branch, EngineOptions, EngineStats, ResourceLimitError,
+                     SaturationResult, saturate)
 from .hocqa import (Answer, AnswerSet, StaleBranchError, TaskArityError,
                     answer, task_query)
 from .oracle import (BoundsExceededError, Interpretation, OracleBounds,

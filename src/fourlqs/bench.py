@@ -61,9 +61,10 @@ class BenchConfig:
     def validate(self) -> None:
         if self.family not in ("product-rule", "random"):
             raise InvalidConfigError(f"unknown family {self.family!r}")
-        if self.individuals < 1 or self.clauses < 1 or self.repetitions < 1:
-            raise InvalidConfigError("individuals, clauses and repetitions "
-                                     "must be at least 1")
+        if min(self.individuals, self.clauses, self.repetitions,
+               self.workers) < 1:
+            raise InvalidConfigError("individuals, clauses, repetitions and "
+                                     "workers must be at least 1")
         if self.disjuncts < 1 or self.quantifiers < 1:
             raise InvalidConfigError("disjuncts and quantifiers must be at "
                                      "least 1")

@@ -67,8 +67,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (Eq, FourlqsError, KnowledgeBase, Literal, Member1,
-                   Member3, PreconditionError, Substitution, UniversalClause,
-                   apply_substitution, complement, substitution0)
+                   Member3, PreconditionError, Substitution, substitution0)
 
 KIND_EQ = 0
 KIND_IN1 = 1
@@ -100,6 +99,19 @@ class EngineOptions:
     max_seconds: Optional[float] = None
     workers: int = 1
     collect_branches: bool = True
+
+    def validate(self) -> None:
+        """Reject limits no run can honour; 0 is a limit that trips at
+        the first check.  ``not >=`` also catches NaN."""
+        if self.max_branches is not None and self.max_branches < 0:
+            raise PreconditionError(f"branch limit must be at least 0, "
+                                    f"got {self.max_branches}")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise PreconditionError(f"time limit must be at least 0 s, "
+                                    f"got {self.max_seconds}")
+        if self.workers < 1:
+            raise PreconditionError(f"workers must be at least 1, "
+                                    f"got {self.workers}")
 
 
 @dataclass(slots=True)
@@ -288,7 +300,8 @@ class CompiledKb:
 
 class Branch:
     """An open complete branch: its literal sequence after equality
-    normalisation, plus the normalising substitution."""
+    normalisation, plus its merge map as individual positions
+    (``open_complete`` pairs it with the substitution)."""
 
     __slots__ = ("_comp", "lit_ints", "sigma_map", "_literals")
 
@@ -304,16 +317,6 @@ class Branch:
         if self._literals is None:
             self._literals = tuple(self._comp.decode(l) for l in self.lit_ints)
         return self._literals
-
-    @property
-    def sigma(self) -> Substitution:
-        return self._comp.merges(self.sigma_map.items())
-
-    def literal_set(self) -> frozenset:
-        return frozenset(self.literals)
-
-    def __contains__(self, lit: Literal) -> bool:
-        return lit in self.literal_set()
 
     def __eq__(self, other):
         return isinstance(other, Branch) and self.lit_ints == other.lit_ints
@@ -929,7 +932,7 @@ def _assemble(kb: KnowledgeBase, comp: CompiledKb, engine: str,
 
 
 def _effective_workers(opts: EngineOptions) -> int:
-    workers = max(1, opts.workers)
+    workers = opts.workers
     cap = os.environ.get("REASONER_THREADS")
     if cap:
         try:
@@ -947,8 +950,11 @@ def saturate(kb: KnowledgeBase, opts: Optional[EngineOptions] = None,
     the returned branch list is normalised, so it is also independent of
     the worker count.  ``opts.max_seconds`` counts from the start of this
     call, compile included; ``stats.wall_seconds`` excludes compile.
+    Options that ``EngineOptions.validate`` rejects raise
+    ``PreconditionError`` before any work.
     """
     opts = opts or EngineOptions()
+    opts.validate()
     deadline = (perf_counter() + opts.max_seconds
                 if opts.max_seconds is not None else None)
     comp = CompiledKb(kb)
@@ -966,103 +972,3 @@ def saturate(kb: KnowledgeBase, opts: Optional[EngineOptions] = None,
     wall = perf_counter() - start
     return _assemble(kb, comp, engine, opts, counts, stats, collected,
                      limited, wall)
-
-
-# ---------------------------------------------------------------------------
-# Rule-level operations, exposed for direct testing and reuse.  These work
-# on plain core structures rather than the packed encoding.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Instantiation:
-    """A clause together with one grounding of its quantified prefix."""
-
-    clause: UniversalClause
-    tau: Substitution
-
-    def __post_init__(self):
-        dom = set(self.tau.map0)
-        if dom != set(self.clause.quantified):
-            raise PreconditionError(
-                "tau must ground exactly the quantified variables")
-
-    def ground_disjuncts(self) -> Tuple[Literal, ...]:
-        return tuple(apply_substitution(d, self.tau)
-                     for d in self.clause.disjuncts)
-
-
-def _branch_literals(branch) -> frozenset:
-    if isinstance(branch, Branch):
-        return branch.literal_set()
-    return frozenset(branch)
-
-
-def egamma(inst: Instantiation, branch) -> Literal:
-    """The fused elimination step: with the complements of all disjuncts
-    but one on the branch, return that remaining instantiated disjunct."""
-    lits = inst.ground_disjuncts()
-    on_branch = _branch_literals(branch)
-    if any(l in on_branch for l in lits):
-        raise PreconditionError("some instantiated disjunct is already "
-                                "on the branch")
-    missing = [l for l in lits if complement(l) not in on_branch]
-    if len(missing) > 1:
-        raise PreconditionError(
-            f"{len(missing)} disjuncts unresolved; the elimination rule "
-            "needs all complements but one")
-    return missing[0] if missing else lits[0]
-
-
-def select_pb_literal(inst: Instantiation, branch) -> Literal:
-    """The split literal: the complement of the lowest-index disjunct
-    whose complement is not yet on the branch."""
-    lits = inst.ground_disjuncts()
-    on_branch = _branch_literals(branch)
-    if any(l in on_branch for l in lits):
-        raise PreconditionError("instance already discharged on this branch")
-    missing = [l for l in lits if complement(l) not in on_branch]
-    if len(missing) < 2:
-        raise PreconditionError("the elimination rule applies; no split "
-                                "is needed")
-    return complement(missing[0])
-
-
-def is_closed(branch) -> bool:
-    """Syntactic closure: a complementary pair, or a negated x=x."""
-    lits = _branch_literals(branch)
-    for l in lits:
-        if complement(l) in lits:
-            return True
-        if not l.positive and isinstance(l.atom, Eq) \
-                and l.atom.left is l.atom.right:
-            return True
-    return False
-
-
-def is_fulfilled(clause: UniversalClause, branch, kb: KnowledgeBase) -> bool:
-    """Whether every instantiation over the KB individuals has some
-    disjunct on the branch.  Vacuously true without individuals."""
-    on_branch = _branch_literals(branch)
-    m = len(clause.quantified)
-    for combo in itertools.product(kb.var0_order, repeat=m):
-        tau = substitution0(dict(zip(clause.quantified, combo)))
-        if not any(apply_substitution(d, tau) in on_branch
-                   for d in clause.disjuncts):
-            return False
-    return True
-
-
-def equality_normalize(branch, kb: KnowledgeBase) -> Substitution:
-    """Collapse the branch's x=y literals to order-minimal representatives
-    and return the resulting idempotent substitution."""
-    index = {v: i for i, v in enumerate(kb.var0_order)}
-    pairs = []
-    # Insertion order matters for determinism when branch is a sequence.
-    lits = branch.literals if isinstance(branch, Branch) else list(branch)
-    for l in lits:
-        if l.positive and isinstance(l.atom, Eq) \
-                and l.atom.left is not l.atom.right:
-            pairs.append((index[l.atom.left], index[l.atom.right]))
-    sigma = _normalize_eqs(pairs)
-    inds = kb.var0_order
-    return substitution0({inds[a]: inds[b] for a, b in sigma.items()})

@@ -3,7 +3,6 @@
 import random
 
 from fourlqs import free_vars, parse_kb, saturate
-from fourlqs.baselines import saturate_foke, saturate_ke
 from fourlqs.bench import BenchConfig, gen_family, gen_random_kb
 from fourlqs.engine import CompiledKb
 
@@ -47,21 +46,21 @@ class TestGroundExpand:
 
 
 def _branch_multiset(result):
-    return sorted(sorted(map(repr, br.literal_set()))
+    return sorted(sorted(map(repr, br.literals))
                   for br, _ in result.open_complete)
 
 
 class TestParity:
     def test_worked_example(self, italy_kb, italy_result):
-        ke = saturate_ke(italy_kb)
-        foke = saturate_foke(italy_kb)
+        ke = saturate(italy_kb, engine="ke")
+        foke = saturate(italy_kb, engine="foke")
         assert ke.open_count == foke.open_count == italy_result.open_count == 2
         assert _branch_multiset(ke) == _branch_multiset(foke) == \
             _branch_multiset(italy_result)
 
     def test_contradiction(self):
         kb = parse_kb(CONTRADICTION_KB)
-        for run in (saturate_ke(kb), saturate_foke(kb)):
+        for run in (saturate(kb, engine="ke"), saturate(kb, engine="foke")):
             assert not run.consistent
             assert run.closed_count == 1
 
@@ -70,8 +69,8 @@ class TestParity:
         for _ in range(40):
             kb = parse_kb(gen_random_kb(rng))
             keg = saturate(kb)
-            ke = saturate_ke(kb)
-            foke = saturate_foke(kb)
+            ke = saturate(kb, engine="ke")
+            foke = saturate(kb, engine="foke")
             assert keg.open_count == ke.open_count == foke.open_count
             assert keg.closed_count == ke.closed_count == foke.closed_count
             assert _branch_multiset(keg) == _branch_multiset(ke) == \
@@ -82,8 +81,8 @@ class TestParity:
         for n in (1, 2):
             kb = parse_kb(gen_family(BenchConfig(individuals=n, clauses=1)))
             keg = saturate(kb)
-            ke = saturate_ke(kb)
-            foke = saturate_foke(kb)
+            ke = saturate(kb, engine="ke")
+            foke = saturate(kb, engine="foke")
             assert keg.open_count == ke.open_count == foke.open_count
             assert keg.closed_count == ke.closed_count == foke.closed_count
 
@@ -91,14 +90,14 @@ class TestParity:
         # Same decision tree, so the elimination/split step counts match;
         # foke additionally counts its instantiation steps.
         keg = saturate(italy_kb)
-        ke = saturate_ke(italy_kb)
-        foke = saturate_foke(italy_kb)
+        ke = saturate(italy_kb, engine="ke")
+        foke = saturate(italy_kb, engine="foke")
         assert keg.stats.rule_apps == ke.stats.rule_apps == foke.stats.rule_apps
         assert keg.stats.pb_apps == ke.stats.pb_apps == foke.stats.pb_apps
         assert foke.stats.gamma_apps > 0 and keg.stats.gamma_apps == 0
 
     def test_memory_ordering(self, italy_kb):
         keg = saturate(italy_kb)
-        foke = saturate_foke(italy_kb)
+        foke = saturate(italy_kb, engine="foke")
         assert keg.stats.peak_resident_formulae <= \
             foke.stats.peak_resident_formulae

@@ -90,6 +90,37 @@ class TestUnreadableInput:
         assert captured.err.count("\n") == 1
 
 
+class TestLimitValues:
+    """A limit no run can honour is a usage error (exit 2, one ``error:``
+    line, no traceback); a limit of 0 still trips at the first check."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "{kb}", "--max-branches", "-1"], 2),
+        (["check", "{kb}", "--max-seconds", "nan"], 2),
+        (["check", "{kb}", "--max-seconds", "-1"], 2),
+        (["check", "{kb}", "--workers", "-3"], 2),
+        (["check", "{kb}", "--workers", "0"], 2),
+        (["models", "{kb}", "--max-branches", "-1"], 2),
+        (["models", "{kb}", "--max-seconds", "nan"], 2),
+        (["models", "{kb}", "--workers", "-3"], 2),
+        (["query", "{kb}", "--q", "{q}", "--max-branches", "-1"], 2),
+        (["query", "{kb}", "--q", "{q}", "--max-seconds", "nan"], 2),
+        (["query", "{kb}", "--q", "{q}", "--workers", "-3"], 2),
+        (["bench", "--individuals", "1", "--parallel", "--workers", "-3"], 2),
+        (["check", "{kb}", "--max-branches", "0"], 3),
+        (["check", "{kb}", "--max-seconds", "0"], 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_exit_code_and_one_error_line(self, argv, code, italy_file,
+                                          query_file, capsys):
+        argv = [a.format(kb=italy_file, q=query_file) for a in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestParserReuse:
     def test_parser_built_once(self, italy_file, monkeypatch, capsys):
         built = []

@@ -9,22 +9,24 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from fourlqs import (EngineOptions, Instantiation, Literal, Member3,
-                     ResourceLimitError, UniversalClause, complement, egamma,
-                     equality_normalize, is_closed, is_fulfilled, parse_kb,
-                     qvar0, saturate, select_pb_literal, substitution0, var0,
-                     var3)
+from fourlqs import (EngineOptions, Literal, Member3, ResourceLimitError,
+                     apply_substitution, complement, parse_kb, saturate,
+                     substitution0, var0, var3)
 from fourlqs.bench import gen_random_kb
 from fourlqs.core import Eq, Member1, PreconditionError, var1
 from fourlqs import engine as engine_module
 from fourlqs.engine import ModelBuilder, _normalize_eqs
-from fourlqs.oracle import is_consistent, reference_saturate
+from fourlqs.oracle import extract_model, is_consistent, reference_saturate
 
-from conftest import CONTRADICTION_KB, DEEP_KB, MERGE_KB
+from conftest import CONTRADICTION_KB, DEEP_KB, ITALY_KB, MERGE_KB
 
 
 def rel(a, b, r, positive=True):
     return Literal(positive, Member3(var0(a), var0(b), var3(r)))
+
+
+def mem(a, s, positive=True):
+    return Literal(positive, Member1(var0(a), var1(s)))
 
 
 class TestSaturateExamples:
@@ -36,7 +38,7 @@ class TestSaturateExamples:
     def test_worked_example_branches(self, italy_result):
         assert italy_result.consistent
         assert italy_result.open_count == 2
-        sets = [br.literal_set() for br, _ in italy_result.open_complete]
+        sets = [frozenset(br.literals) for br, _ in italy_result.open_complete]
         common = {rel("Italy", "Italy", "isPartOf"),
                   rel("Rome", "Rome", "isPartOf"),
                   rel("Italy", "Rome", "locatedIn", positive=False)}
@@ -63,142 +65,165 @@ class TestSaturateExamples:
         assert sigma.get(var0("b")) is var0("a")
 
 
+def _assert_engines_match_reference(text):
+    """Saturate ``text``'s KB with every engine and compare its open and
+    closed counts, its open branches' literal sets with their merge maps,
+    and its rule counts with ``oracle.reference_saturate`` and with each
+    other.  Returns keg's result."""
+    kb = parse_kb(text)
+    ref_branches, ref_closed = reference_saturate(kb)
+    ref = sorted(_named_branch(b.literals, b.sigma) for b in ref_branches)
+    results = {}
+    for engine in ("keg", "ke", "foke"):
+        res = results[engine] = saturate(kb, engine=engine)
+        assert (res.open_count, res.closed_count) == \
+            (len(ref_branches), ref_closed), engine
+        assert sorted(_named_branch(br.literals, sigma)
+                      for br, sigma in res.open_complete) == ref, engine
+        assert (res.stats.rule_apps, res.stats.pb_apps) == \
+            (results["keg"].stats.rule_apps,
+             results["keg"].stats.pb_apps), engine
+    return results["keg"]
+
+
+def _literal_sets(result):
+    return {frozenset(br.literals) for br, _ in result.open_complete}
+
+
+PAIR_CLAUSE = "clause (forall z) (or (in z A) (in z B))\n"
+THREE_DISJUNCTS_KB = ("ind a\nlit (not (in a A))\n"
+                      "clause (forall z) (or (in z A) (in z B) (in z C))\n")
+
+
 class TestEgamma:
-    def setup_method(self):
-        z1, z2 = qvar0("z1"), qvar0("z2")
-        self.incl = UniversalClause(
-            (z1, z2), (Literal(False, Member3(z1, z2, var3("loc"))),
-                       Literal(True, Member3(z1, z2, var3("iPO")))))
-        self.tau = substitution0({z1: var0("R"), z2: var0("I")})
+    """The fused elimination step, through every engine."""
 
     def test_example_left_branch_step(self):
-        inst = Instantiation(self.incl, self.tau)
-        branch = [rel("R", "I", "loc")]
-        assert egamma(inst, branch) == rel("R", "I", "iPO")
+        res = _assert_engines_match_reference(
+            "ind R I\nlit (rel R I loc)\n"
+            "clause (forall z1 z2) (or (not (rel z1 z2 loc)) "
+            "(rel z1 z2 iPO))\n")
+        assert res.open_count > 0
+        assert all(rel("R", "I", "iPO") in s for s in _literal_sets(res))
 
     def test_unary_clause_needs_no_complements(self):
-        z1 = qvar0("z1")
-        ref = UniversalClause((z1,), (Literal(True, Member3(z1, z1, var3("iPO"))),))
-        inst = Instantiation(ref, substitution0({z1: var0("x")}))
-        assert egamma(inst, []) == rel("x", "x", "iPO")
+        res = _assert_engines_match_reference(
+            "ind x\nclause (forall z1) (or (rel z1 z1 iPO))\n")
+        assert _literal_sets(res) == {frozenset({rel("x", "x", "iPO")})}
+        assert (res.stats.rule_apps, res.stats.pb_apps) == (1, 0)
 
     def test_too_many_unresolved(self):
-        z1 = qvar0("z1")
-        tri = UniversalClause((z1,), (
-            Literal(True, Member1(z1, var1("A"))),
-            Literal(True, Member1(z1, var1("B"))),
-            Literal(True, Member1(z1, var1("C")))))
-        inst = Instantiation(tri, substitution0({z1: var0("a")}))
-        branch = [Literal(False, Member1(var0("a"), var1("A")))]
-        with pytest.raises(PreconditionError):
-            egamma(inst, branch)
+        # Two disjuncts unresolved: a split, then elimination in the
+        # complement child.
+        res = _assert_engines_match_reference(THREE_DISJUNCTS_KB)
+        assert (res.stats.rule_apps, res.stats.pb_apps) == (1, 1)
 
     def test_discharged_instance_rejected(self):
-        inst = Instantiation(self.incl, self.tau)
-        branch = [rel("R", "I", "iPO")]
-        with pytest.raises(PreconditionError):
-            egamma(inst, branch)
+        res = _assert_engines_match_reference("ind a\nlit (in a B)\n"
+                                              + PAIR_CLAUSE)
+        assert _literal_sets(res) == {frozenset({mem("a", "B")})}
+        assert (res.stats.rule_apps, res.stats.pb_apps) == (0, 0)
 
 
 class TestSelectPbLiteral:
-    def setup_method(self):
-        z1 = qvar0("z1")
-        self.cl = UniversalClause((z1,), (
-            Literal(True, Member1(z1, var1("A"))),
-            Literal(True, Member1(z1, var1("B")))))
-        self.inst = Instantiation(self.cl, substitution0({z1: var0("a")}))
+    """The split takes the lowest-index disjunct whose complement is not
+    on the branch; its fulfilling child comes first."""
 
     def test_lowest_index_first(self):
-        assert select_pb_literal(self.inst, []) == \
-            Literal(False, Member1(var0("a"), var1("A")))
+        res = _assert_engines_match_reference("ind a\n" + PAIR_CLAUSE)
+        assert _literal_sets(res) == {
+            frozenset({mem("a", "A")}),
+            frozenset({mem("a", "A", False), mem("a", "B")})}
 
     def test_skips_present_complement(self):
-        branch = [Literal(False, Member1(var0("a"), var1("A")))]
-        # One complement present leaves one unresolved: elimination applies,
-        # so the split is refused.
-        with pytest.raises(PreconditionError):
-            select_pb_literal(self.inst, branch)
+        # One complement present leaves one unresolved: elimination
+        # applies, so there is no split.
+        res = _assert_engines_match_reference(
+            "ind a\nlit (not (in a A))\n" + PAIR_CLAUSE)
+        assert _literal_sets(res) == {
+            frozenset({mem("a", "A", False), mem("a", "B")})}
+        assert (res.stats.rule_apps, res.stats.pb_apps) == (1, 0)
 
     def test_three_disjuncts_second_pick(self):
-        z1 = qvar0("z1")
-        cl = UniversalClause((z1,), (
-            Literal(True, Member1(z1, var1("A"))),
-            Literal(True, Member1(z1, var1("B"))),
-            Literal(True, Member1(z1, var1("C")))))
-        inst = Instantiation(cl, substitution0({z1: var0("a")}))
-        branch = [Literal(False, Member1(var0("a"), var1("A")))]
-        assert select_pb_literal(inst, branch) == \
-            Literal(False, Member1(var0("a"), var1("B")))
+        res = _assert_engines_match_reference(THREE_DISJUNCTS_KB)
+        assert _literal_sets(res) == {
+            frozenset({mem("a", "A", False), mem("a", "B")}),
+            frozenset({mem("a", "A", False), mem("a", "B", False),
+                       mem("a", "C")})}
 
     def test_egamma_fires_after_enough_splits(self):
         # Five-disjunct benchmark clause: after n-1 complements are on the
         # branch the elimination rule takes over.
-        z1 = qvar0("z1")
         names = ["A", "B", "C", "D", "E"]
-        cl = UniversalClause((z1,), tuple(
-            Literal(True, Member1(z1, var1(n))) for n in names))
-        inst = Instantiation(cl, substitution0({z1: var0("a")}))
-        branch = []
-        for _ in range(len(names) - 1):
-            pb = select_pb_literal(inst, branch)
-            branch.append(pb)
-        assert egamma(inst, branch) == Literal(True, Member1(var0("a"),
-                                                             var1("E")))
+        res = _assert_engines_match_reference(
+            "ind a\nclause (forall z) (or "
+            + " ".join(f"(in z {n})" for n in names) + ")\n")
+        assert (res.stats.rule_apps, res.stats.pb_apps) == (1, 4)
+        assert frozenset([mem("a", n, False) for n in names[:-1]]
+                         + [mem("a", "E")]) in _literal_sets(res)
 
 
 class TestEqualityNormalize:
-    def test_no_equalities(self, italy_kb, italy_result):
-        br, _ = italy_result.open_complete[0]
-        assert equality_normalize(br, italy_kb).is_empty()
+    def test_no_equalities(self, italy_result):
+        _assert_engines_match_reference(ITALY_KB)
+        assert all(not br.sigma_map for br, _ in italy_result.open_complete)
 
     def test_min_rule(self):
-        kb = parse_kb("ind a b\nlit (eq b a)")
-        sigma = equality_normalize(list(kb.literals), kb)
+        res = _assert_engines_match_reference("ind a b\nlit (eq b a)\n")
+        [(_, sigma)] = res.open_complete
         assert sigma.get(var0("b")) is var0("a")
         assert sigma.get(var0("a")) is var0("a")
 
     def test_chain_collapses_to_minimum(self):
-        kb = parse_kb("ind a b c\nlit (eq b c)\nlit (eq c a)")
-        sigma = equality_normalize(list(kb.literals), kb)
+        res = _assert_engines_match_reference(
+            "ind a b c\nlit (eq b c)\nlit (eq c a)\n")
+        [(_, sigma)] = res.open_complete
         assert sigma.get(var0("b")) is var0("a")
         assert sigma.get(var0("c")) is var0("a")
         # x sigma = y sigma for every equality on the branch
-        for lit in kb.literals:
+        for lit in res.kb.literals:
             assert sigma.get(lit.atom.left) is sigma.get(lit.atom.right)
         # idempotent
-        for v in kb.var0_order:
+        for v in res.kb.var0_order:
             assert sigma.get(sigma.get(v)) is sigma.get(v)
 
 
 class TestIsFulfilled:
-    def test_reflexive_clause(self, italy_kb):
-        ref = italy_kb.clauses[0]
+    """``extract_model`` refuses a hand-built branch that leaves a clause
+    instance unfulfilled."""
+
+    def test_reflexive_clause(self):
+        kb = parse_kb("ind Italy Rome\n"
+                      "clause (forall z1) (or (rel z1 z1 isPartOf))\n")
         both = [rel("Italy", "Italy", "isPartOf"),
                 rel("Rome", "Rome", "isPartOf")]
-        assert is_fulfilled(ref, both, italy_kb)
-        assert not is_fulfilled(ref, both[:1], italy_kb)
+        extract_model(both, substitution0({}), kb)
+        with pytest.raises(PreconditionError, match="does not fulfill"):
+            extract_model(both[:1], substitution0({}), kb)
 
     def test_vacuous_without_individuals(self):
-        kb = parse_kb("clause (forall z) (or (in z A))")
-        assert is_fulfilled(kb.clauses[0], [], kb)
+        text = "clause (forall z) (or (in z A))\n"
+        assert _assert_engines_match_reference(text).open_count == 1
+        extract_model([], substitution0({}), parse_kb(text))
 
 
 class TestIsClosed:
     def test_complementary_pair(self):
-        l = Literal(True, Member1(var0("x"), var1("A")))
-        assert is_closed([l, complement(l)])
+        res = _assert_engines_match_reference(
+            "lit (in x A)\nlit (not (in x A))\n")
+        assert (res.open_count, res.closed_count) == (0, 1)
 
     def test_negated_trivial_equality(self):
-        assert is_closed([Literal(False, Eq(var0("x"), var0("x")))])
+        res = _assert_engines_match_reference("lit (not (eq x x))\n")
+        assert (res.open_count, res.closed_count) == (0, 1)
 
     def test_symmetric_equality_is_not_syntactic_closure(self):
-        lits = [Literal(True, Eq(var0("x"), var0("y"))),
-                Literal(False, Eq(var0("y"), var0("x")))]
-        assert not is_closed(lits)
-        # ... but saturation still rejects the KB via the equality phase.
-        kb = parse_kb("lit (eq x y)\nlit (not (eq y x))")
-        assert not saturate(kb).consistent
-        assert not is_consistent(kb)
+        # Not a complementary pair, but the equality phase rewrites it
+        # into one.
+        text = "lit (eq x y)\nlit (not (eq y x))\n"
+        res = _assert_engines_match_reference(text)
+        assert (res.open_count, res.closed_count) == (0, 1)
+        assert not is_consistent(parse_kb(text))
 
 
 class TestDeterminismAndLimits:
@@ -253,26 +278,24 @@ class TestDeterminismAndLimits:
             ref_branches, ref_closed = reference_saturate(kb)
             assert res.open_count == len(ref_branches)
             assert res.closed_count == ref_closed
-            eng = sorted(sorted(map(repr, br.literal_set()))
+            eng = sorted(sorted(map(repr, br.literals))
                          for br, _ in res.open_complete)
             ref = sorted(sorted(map(repr, b.literal_set()))
                          for b in ref_branches)
             assert eng == ref
 
     def test_returned_branches_open_and_fulfilled(self):
-        # Open always; fulfillment over the original individuals is
-        # checkable directly whenever the branch merged nothing.
+        # extract_model raises on a branch that is closed or leaves a
+        # clause instance over the merged individuals unfulfilled.
         rng = random.Random(918)
-        checked = 0
+        checked = merged = 0
         for _ in range(25):
             kb = parse_kb(gen_random_kb(rng))
             for br, sigma in saturate(kb).open_complete:
-                assert not is_closed(br)
-                if sigma.is_empty():
-                    for cl in kb.clauses:
-                        assert is_fulfilled(cl, br, kb)
-                    checked += 1
-        assert checked > 10
+                extract_model(br, sigma, kb)
+                checked += 1
+                merged += not sigma.is_empty()
+        assert checked > 10 and merged > 0
 
     def test_parallel_branch_limit_is_run_wide(self):
         from fourlqs.bench import BenchConfig, gen_family
@@ -657,15 +680,14 @@ class TestModelLevelSoundness:
             combo = tuple(rng.choice(kb.var0_order)
                           for _ in clause.quantified)
             tau = substitution0(dict(zip(clause.quantified, combo)))
-            inst = Instantiation(clause, tau)
-            ground = inst.ground_disjuncts()
+            ground = [apply_substitution(d, tau) for d in clause.disjuncts]
             # Premise branch: the complements of all disjuncts but the
-            # last, as the rule's side condition demands.
+            # last, as the rule's side condition demands.  The rule never
+            # fires on an instance that is already discharged.
             premise = [complement(l) for l in ground[:-1]]
-            try:
-                derived = egamma(inst, premise)
-            except PreconditionError:
+            if any(l in premise for l in ground):
                 continue
+            derived = ground[-1]
             builder = KbBuilder()
             for v in kb.var0_order:
                 builder.individual(v.name)
@@ -673,6 +695,8 @@ class TestModelLevelSoundness:
                 builder.add_literal(l)
             builder.add_clause(clause)
             premise_kb = builder.build()
+            for br, sigma in saturate(premise_kb).open_complete:
+                assert apply_substitution(derived, sigma) in br.literals
             for m in enumerate_models(premise_kb):
                 assert model_check(m, derived)
             fired += 1

@@ -158,7 +158,7 @@ class TestReferenceSaturate:
         branches, closed = reference_saturate(italy_kb)
         assert len(branches) == 2 and closed == 0
         ref_sets = sorted(sorted(map(repr, b.literal_set())) for b in branches)
-        eng_sets = sorted(sorted(map(repr, br.literal_set()))
+        eng_sets = sorted(sorted(map(repr, br.literals))
                           for br, _ in italy_result.open_complete)
         assert ref_sets == eng_sets
 

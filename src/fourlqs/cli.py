@@ -6,7 +6,9 @@ models), ``query`` (HO conjunctive query answering), ``translate``
 (three-engine comparison).  Exit codes: 0 success (and consistent, for
 check), 1 inconsistent, 2 usage or parse error, an input file that
 cannot be read as UTF-8 text or an output file that cannot be written,
-3 resource limit.
+3 resource limit, 4 internal error: an unexpected exception, reported
+as an ``internal error:`` line and its traceback on stderr, so that a
+crash is never read as a verdict.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import List, Optional
 
@@ -287,6 +290,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FourlqsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     return 0
 
 

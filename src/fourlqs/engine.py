@@ -8,12 +8,12 @@ which is exactly the comparison the benchmark harness isolates:
   pair is ground-instantiated on the fly when the explorer's clause/tau
   cursor reaches it.  No instance lives on the branch, and the cursor
   position itself witnesses fulfillment, so there is no per-instance
-  branch state.  keg keeps, per pending complement child, the one
-  instance that child's split was made on, so the child resumes it
-  instead of instantiating it again: one instance per level of the
-  explicit stack, at most ``peak_stack_depth`` + 1, and never a
-  grounding.  ``peak_resident_formulae`` still counts the current branch
-  only.
+  branch state.  keg keeps, per pending complement child, the unresolved
+  disjuncts of the instance that child's split was made on, so the child
+  resumes with the rest of that list instead of instantiating and
+  filtering the instance again: one list per level of the explicit
+  stack, at most ``peak_stack_depth`` + 1, and never a grounding.
+  ``peak_resident_formulae`` still counts the current branch only.
 * ``ke``   -- classic elimination over an up-front grounding: every
   instance is materialised before exploration and lives on the branch as
   a formula.  Each expansion step re-selects the first not-yet-fulfilled
@@ -23,10 +23,13 @@ which is exactly the comparison the benchmark harness isolates:
   elimination/split step runs on it; selection scans the residents the
   same way ke scans its grounding, and residents pop on backtrack.
 
-Re-inspecting stored instances at every step is the cost of keeping
-them around and is what the fused rule avoids; scan-based selection for
-the baselines and cursor-based for keg mirrors how the respective
-calculi drive their loops, and the benchmark quantifies the difference.
+Every policy returns the selected instance's unresolved disjuncts, those
+whose complement is not on the branch, and the explorer acts on that
+list without looking at the instance again.  Re-inspecting stored
+instances at every step is the cost of keeping them around and is what
+the fused rule avoids; scan-based selection for the baselines and
+cursor-based for keg mirrors how the respective calculi drive their
+loops, and the benchmark quantifies the difference.
 
 The explorer is one loop over an explicit stack of pending complement
 children, so the split rule, the closure test, elimination, leaf
@@ -642,19 +645,23 @@ class ProbeExpired(Exception):
 def _keg_select(comp: CompiledKb, bset: set, stack: list):
     """keg's selection policy for one :func:`_run`: the first job at or
     after the cursor whose instance no branch literal discharges, built
-    when the cursor reaches it.  The cursor witnesses that every earlier
-    job is discharged, so no instance has to stay on the branch.
+    when the cursor reaches it, and that instance's unresolved disjuncts.
+    The cursor witnesses that every earlier job is discharged, so no
+    instance has to stay on the branch.
 
-    One instance is kept per level of the explicit stack: ``held[d]`` is
-    the last one selected while ``stack`` held ``d`` entries.  A split on
-    it pushes its complement child as entry ``d``, and the whole
-    fulfilling subtree runs above that entry, so when the child is popped
-    ``held[d]`` is still the instance it split on.  The child resumes
-    that instance without instantiating it again, unless the complement
-    literal is itself one of its disjuncts: then the child discharges it
-    and the scan goes on from the next job.  A call resumes exactly when
-    its cursor is not past the last job selected, since the explorer
-    otherwise moves the cursor one past it.
+    One list is kept per level of the explicit stack: ``held[d]`` is the
+    last unresolved list returned while ``stack`` held ``d`` entries.  A
+    split on its first literal ``bh`` pushes the complement child as entry
+    ``d``, and the whole fulfilling subtree runs above that entry, so when
+    the child is popped ``held[d]`` is still the list its split was made
+    on.  The child's branch is the split's plus ``bh ^ 1``, so its own
+    list is the rest of that list without any copy of ``bh``: it is
+    neither instantiated nor filtered again.  When ``bh ^ 1`` is itself a
+    disjunct, the child discharges the instance and the scan goes on from
+    the next job.  A resumed child that splits again does so on its own
+    list, so that list replaces the level's entry.  A call resumes
+    exactly when its cursor is not past the last job selected, since the
+    explorer otherwise moves the cursor one past it.
     """
     jobs = comp.jobs
     njobs = len(jobs)
@@ -665,25 +672,32 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
     def select(j):
         nonlocal last
         if j <= last:
-            lits = held[len(stack)]
-            if bset.isdisjoint(lits):
+            d = len(stack)
+            missing = held[d]
+            bh = missing[0]
+            rest = missing[1:]
+            if (bh ^ 1) not in rest:
+                if bh in rest:
+                    rest = [l for l in rest if l != bh]
+                held[d] = rest
                 last = j
-                return j, lits
+                return j, rest
             j += 1
         while j < njobs:
             specs, tau = jobs[j]
             lits = instantiate(specs, tau)
             if bset.isdisjoint(lits):
+                missing = [l for l in lits if (l ^ 1) not in bset]
                 d = len(stack)
                 if d < len(held):
-                    held[d] = lits
+                    held[d] = missing
                 else:
-                    held.append(lits)
+                    held.append(missing)
                 last = j
-                return j, lits
+                return j, missing
             j += 1
         last = j
-        return j, None
+        return None
     return select
 
 
@@ -699,8 +713,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     stack as (trail length, equality count, resident count, literal,
     cursor, depth); at a leaf it pops the next entry, undoes the branch
     to the saved lengths and enters it.  An engine is only its ``select``
-    policy: the first instance (at or after keg's cursor) that no branch
-    literal discharges, or none.
+    policy: for the first instance (at or after keg's cursor) that no
+    branch literal discharges, its job index and its unresolved disjuncts,
+    those whose complement is not on the branch; or ``None`` when every
+    instance is discharged.  One unresolved disjunct is eliminated, none
+    closes the branch, and more split on the first.
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child); while replaying, counters and leaves
@@ -758,10 +775,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # Selection policies.  keg builds the instance at the cursor when it
     # gets there and stores none on the branch: the cursor witnesses that
     # every earlier job is discharged.  It keeps, per pending complement
-    # child, only the instance that child's split was made on, and never
-    # a grounding (see _keg_select).  ke and foke keep their instances as
-    # branch formulae and re-inspect them from the first at every step,
-    # the cost the fused rule avoids; their cursor is never read.  foke
+    # child, only the unresolved disjuncts of that child's split, and
+    # never a grounding (see _keg_select).  ke and foke keep their
+    # instances as branch formulae and re-inspect them from the first at
+    # every step, filtering the selected one against the branch again:
+    # the cost the fused rule avoids.  Their cursor is never read.  foke
     # parks the next job's instance on the branch when every resident is
     # discharged, and residents pop on backtrack.
     stack: List[Tuple[int, int, int, int, int, int]] = []
@@ -773,17 +791,17 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         def select(j):
             for lits in instances:
                 if bset.isdisjoint(lits):
-                    return j, lits
-            return j, None
+                    return j, [l for l in lits if (l ^ 1) not in bset]
+            return None
     elif engine == "foke":
         def select(j):
             while True:
                 for lits in resident:
                     if bset.isdisjoint(lits):
-                        return j, lits
+                        return j, [l for l in lits if (l ^ 1) not in bset]
                 nres = len(resident)
                 if nres == njobs:
-                    return j, None
+                    return None
                 specs, tau = jobs[nres]
                 resident.append(tuple(instantiate(specs, tau)))
                 if counting:
@@ -876,17 +894,18 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             lit = -1
             if depth > stats.peak_stack_depth:
                 stats.peak_stack_depth = depth
-        j, lits = select(j)
-        if lits is None:
+        selected = select(j)
+        if selected is None:
             leaf = False
             continue
-        missing = [l for l in lits if (l ^ 1) not in bset]
+        j, missing = selected
         if len(missing) < 2:
-            lit = missing[0] if missing else lits[0]
             if counting:
                 stats.rule_apps += 1
-            if (lit ^ 1) in bset:
+            if not missing:
                 leaf = True
+                continue
+            lit = missing[0]
             j += 1
             continue
         # Split: enter the fulfilling child (the disjunct itself, next
@@ -932,14 +951,20 @@ def _assemble(kb: KnowledgeBase, comp: CompiledKb, engine: str,
 
 
 def _effective_workers(opts: EngineOptions) -> int:
-    workers = opts.workers
+    """``opts.workers`` capped by ``REASONER_THREADS`` when that is set;
+    a cap that is not a positive integer is a usage error, as a
+    ``workers`` below 1 is."""
     cap = os.environ.get("REASONER_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return workers
+    if not cap:
+        return opts.workers
+    try:
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise PreconditionError(f"REASONER_THREADS must be a positive "
+                                f"integer, got {cap!r}")
+    return min(opts.workers, limit)
 
 
 def saturate(kb: KnowledgeBase, opts: Optional[EngineOptions] = None,

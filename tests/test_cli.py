@@ -121,6 +121,51 @@ class TestLimitValues:
         assert "Traceback" not in captured.err
 
 
+class TestWorkerCapValues:
+    """A ``REASONER_THREADS`` that is not a positive integer is a usage
+    error, as a ``--workers`` below 1 is; an empty one is no cap."""
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-1", "2.5"])
+    @pytest.mark.parametrize("argv", [
+        ["check", "{kb}", "--workers", "2"], ["check", "{kb}"],
+        ["models", "{kb}", "--workers", "2"],
+        ["query", "{kb}", "--q", "{q}", "--workers", "2"],
+    ], ids=" ".join)
+    def test_exit_code_and_one_error_line(self, argv, cap, italy_file,
+                                          query_file, monkeypatch, capsys):
+        monkeypatch.setenv("REASONER_THREADS", cap)
+        argv = [a.format(kb=italy_file, q=query_file) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: REASONER_THREADS must be a positive "
+                                f"integer, got {cap!r}\n")
+
+    @pytest.mark.parametrize("cap", ["", "1", "3"])
+    def test_usable_cap(self, cap, italy_file, monkeypatch, capsys):
+        monkeypatch.setenv("REASONER_THREADS", cap)
+        assert main(["check", str(italy_file), "--workers", "2"]) == 0
+        assert capsys.readouterr().out == "consistent, 2 open branches\n"
+
+
+class TestInternalError:
+    """An unexpected exception is exit 4 with an ``internal error:`` line
+    and its traceback, never exit 1, which means "inconsistent"."""
+
+    def test_crash_is_exit_4(self, italy_file, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_check", crash)
+        assert main(["check", str(italy_file)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, rest = captured.err.split("\n", 1)
+        assert first == "internal error: RuntimeError: boom"
+        assert rest.startswith("Traceback (most recent call last):")
+        assert rest.endswith("RuntimeError: boom\n")
+
+
 class TestParserReuse:
     def test_parser_built_once(self, italy_file, monkeypatch, capsys):
         built = []

@@ -385,7 +385,8 @@ class TestDeterminismAndLimits:
         monkeypatch.setenv("REASONER_THREADS", "1")
         assert _effective_workers(EngineOptions(workers=8)) == 1
         monkeypatch.setenv("REASONER_THREADS", "junk")
-        assert _effective_workers(EngineOptions(workers=3)) == 3
+        with pytest.raises(PreconditionError, match="REASONER_THREADS"):
+            _effective_workers(EngineOptions(workers=3))
         monkeypatch.delenv("REASONER_THREADS")
         assert _effective_workers(EngineOptions(workers=2)) == 2
 
@@ -880,10 +881,13 @@ class TestModelBuilder:
         assert str(err.value) == message
 
 
-# keg's complement child resumes the instance its split was made on.  At
-# z = z1 these clauses ground to an instance that holds the complement
-# literal itself, so the child discharges it, or that holds one disjunct
-# twice, so the child's remaining disjuncts can run out.
+# keg's complement child resumes with the rest of its split's unresolved
+# disjuncts.  At z = z1 these clauses ground to an instance that holds the
+# complement literal itself, so the child discharges it, or that holds one
+# disjunct twice, so the child's remaining disjuncts can run out.  With
+# four disjuncts a resumed child has at least two left and splits again,
+# and at z = z1 a copy of the split literal can come after it with
+# another disjunct in between.
 RESUME_KBS = {
     "tautologous": "ind a b\nlit (in b B)\n"
                    "clause (forall z z1) (or (in z A) (not (in z1 A)) (in z B))\n",
@@ -896,6 +900,14 @@ RESUME_KBS = {
     "eq-both": "ind a b c\nlit (not (in c B))\n"
                "clause (forall z z1) (or (eq z z1) (not (eq z z1)) (in z B))\n"
                "clause (forall z z1) (or (eq z a) (eq z1 a) (in z1 A))\n",
+    "nested": "ind a b\nlit (not (in b D))\n"
+              "clause (forall z z1) (or (in z A) (in z1 B) (in z C) (in z1 D))\n",
+    "nested-duplicate": "ind a b\nlit (not (in b C))\n"
+                        "clause (forall z z1) "
+                        "(or (in z A) (in z B) (in z1 A) (in z C))\n",
+    "eq-nested-duplicate": "ind a b c\nlit (not (in c B))\n"
+                           "clause (forall z z1) "
+                           "(or (eq z a) (in z B) (eq z1 a) (in z1 A))\n",
 }
 
 

@@ -5,8 +5,7 @@ from .core import (EPSILON, SORT0, SORT1, SORT3, Eq, FourlqsError,
                    KnowledgeBase, KbBuilder, Literal, MalformedSubstitutionError,
                    Member1, Member3, NamespaceError, PreconditionError,
                    Substitution, UniversalClause, Variable, apply_substitution,
-                   complement, compose, free_vars, qvar0, substitution0, var0,
-                   var1, var3)
+                   complement, qvar0, substitution0, var0, var1, var3)
 from .engine import (Branch, EngineOptions, EngineStats, ResourceLimitError,
                      SaturationResult, saturate)
 from .hocqa import (Answer, AnswerSet, StaleBranchError, TaskArityError,

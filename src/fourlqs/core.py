@@ -408,22 +408,6 @@ def substitution0(pairs: Mapping[Variable, Variable]) -> Substitution:
     return Substitution(map0=dict(pairs))
 
 
-def compose(first: Substitution, then: Substitution) -> Substitution:
-    """The substitution acting like ``first`` followed by ``then``.
-
-    Satisfies apply(f, compose(a, b)) == apply(apply(f, a), b).
-    """
-    maps = []
-    for attr in ("map0", "map1", "map3"):
-        a: Dict[Variable, Variable] = getattr(first, attr)
-        b: Dict[Variable, Variable] = getattr(then, attr)
-        merged = dict(b)
-        for k, v in a.items():
-            merged[k] = b.get(v, v)
-        maps.append(merged)
-    return Substitution(*maps)
-
-
 def _apply_atom(atom: Atom, lookup) -> Atom:
     if isinstance(atom, Eq):
         return Eq(lookup(atom.left), lookup(atom.right))
@@ -467,39 +451,6 @@ def apply_substitution(f, s: Substitution):
             builder.add_clause(apply_substitution(cl, s))
         return builder.build()
     raise TypeError(f"cannot apply a substitution to {type(f).__name__}")
-
-
-def free_vars(f):
-    """Free variables of ``f`` split by sort: (sort-0, sort-1, sort-3)."""
-    v0, v1, v3 = set(), set(), set()
-
-    def visit(atom: Atom, bound=frozenset()):
-        for v in atom_vars(atom):
-            if v in bound:
-                continue
-            if v.sort == SORT0:
-                v0.add(v)
-            elif v.sort == SORT1:
-                v1.add(v)
-            else:
-                v3.add(v)
-
-    if isinstance(f, Literal):
-        visit(f.atom)
-    elif isinstance(f, UniversalClause):
-        bound = frozenset(f.quantified)
-        for d in f.disjuncts:
-            visit(d.atom, bound)
-    elif isinstance(f, KnowledgeBase):
-        for lit in f.literals:
-            visit(lit.atom)
-        for cl in f.clauses:
-            bound = frozenset(cl.quantified)
-            for d in cl.disjuncts:
-                visit(d.atom, bound)
-    else:
-        raise TypeError(f"free_vars not defined on {type(f).__name__}")
-    return frozenset(v0), frozenset(v1), frozenset(v3)
 
 
 def answer_key(binding: Substitution, merges: Substitution):

@@ -4,14 +4,15 @@ Three engines share one depth-first explorer and differ only in how they
 select the next universal-clause instance for the elimination rule,
 which is exactly the comparison the benchmark harness isolates:
 
-* ``keg``  -- the fused elimination rule: each (clause, instantiation)
-  pair is ground-instantiated on the fly when the explorer's clause/tau
-  cursor reaches it.  No instance lives on the branch, and the cursor
-  position itself witnesses fulfillment, so there is no per-instance
-  branch state.  keg keeps, per pending complement child, the unresolved
-  disjuncts of the instance that child's split was made on, so the child
-  resumes with the rest of that list instead of instantiating and
-  filtering the instance again: one list per level of the explicit
+* ``keg``  -- the fused elimination rule: the explorer's clause/tau
+  cursor scans each (clause, instantiation) pair in one pass per job,
+  grounding one disjunct at a time against the branch; it stops at the
+  first discharging disjunct and builds no instance.  No instance lives
+  on the branch, and the cursor position itself witnesses fulfillment,
+  so there is no per-instance branch state.  keg keeps, per pending
+  complement child, the unresolved disjuncts of the job that child's
+  split was made on, so the child resumes with the rest of that list
+  instead of scanning the job again: one list per level of the explicit
   stack, at most ``peak_stack_depth`` + 1, and never a grounding.
   ``peak_resident_formulae`` still counts the current branch only.
 * ``ke``   -- classic elimination over an up-front grounding: every
@@ -25,7 +26,10 @@ which is exactly the comparison the benchmark harness isolates:
 
 Every policy returns the selected instance's unresolved disjuncts, those
 whose complement is not on the branch, and the explorer acts on that
-list without looking at the instance again.  Re-inspecting stored
+list without looking at the instance again.  ke and foke filter a stored
+instance for that list; keg gathers it in the same pass that tests the
+job for a discharging disjunct, one pass per job, stopping at the first
+discharging disjunct and building no instance.  Re-inspecting stored
 instances at every step is the cost of keeping them around and is what
 the fused rule avoids; scan-based selection for the baselines and
 cursor-based for keg mirrors how the respective calculi drive their
@@ -644,10 +648,13 @@ class ProbeExpired(Exception):
 
 def _keg_select(comp: CompiledKb, bset: set, stack: list):
     """keg's selection policy for one :func:`_run`: the first job at or
-    after the cursor whose instance no branch literal discharges, built
-    when the cursor reaches it, and that instance's unresolved disjuncts.
-    The cursor witnesses that every earlier job is discharged, so no
-    instance has to stay on the branch.
+    after the cursor whose instance no branch literal discharges, and
+    that instance's unresolved disjuncts.  The cursor witnesses that
+    every earlier job is discharged, so no instance has to stay on the
+    branch.  The scan takes one pass per job: it grounds each disjunct
+    with :meth:`CompiledKb.instantiate`'s arithmetic, stops at the first
+    one on the branch, and otherwise keeps those whose complement is not
+    on it, in disjunct order.  It builds no instance.
 
     One list is kept per level of the explicit stack: ``held[d]`` is the
     last unresolved list returned while ``stack`` held ``d`` entries.  A
@@ -656,7 +663,7 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
     the child is popped ``held[d]`` is still the list its split was made
     on.  The child's branch is the split's plus ``bh ^ 1``, so its own
     list is the rest of that list without any copy of ``bh``: it is
-    neither instantiated nor filtered again.  When ``bh ^ 1`` is itself a
+    neither scanned nor filtered again.  When ``bh ^ 1`` is itself a
     disjunct, the child discharges the instance and the scan goes on from
     the next job.  A resumed child that splits again does so on its own
     list, so that list replaces the level's entry.  A call resumes
@@ -665,7 +672,7 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
     """
     jobs = comp.jobs
     njobs = len(jobs)
-    instantiate = comp.instantiate
+    twok = comp.twok
     held: List[List[int]] = []
     last = -1
 
@@ -685,9 +692,19 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
             j += 1
         while j < njobs:
             specs, tau = jobs[j]
-            lits = instantiate(specs, tau)
-            if bset.isdisjoint(lits):
-                missing = [l for l in lits if (l ^ 1) not in bset]
+            # Ground each disjunct as CompiledKb.instantiate does: lit
+            # starts as the spec's constant.
+            missing = []
+            for lit, ia, ib in specs:
+                if ia >= 0:
+                    lit += tau[ia] * twok
+                if ib >= 0:
+                    lit += tau[ib] * 2
+                if lit in bset:
+                    break
+                if (lit ^ 1) not in bset:
+                    missing.append(lit)
+            else:
                 d = len(stack)
                 if d < len(held):
                     held[d] = missing
@@ -772,11 +789,12 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # them.
     base_resident = njobs if engine == "ke" else len(comp.clause_specs)
 
-    # Selection policies.  keg builds the instance at the cursor when it
-    # gets there and stores none on the branch: the cursor witnesses that
-    # every earlier job is discharged.  It keeps, per pending complement
-    # child, only the unresolved disjuncts of that child's split, and
-    # never a grounding (see _keg_select).  ke and foke keep their
+    # Selection policies.  keg scans the job at the cursor one disjunct
+    # at a time, stops at the first discharging one, builds no instance
+    # and stores none on the branch: the cursor witnesses that every
+    # earlier job is discharged.  It keeps, per pending complement child,
+    # only the unresolved disjuncts of that child's split, and never a
+    # grounding (see _keg_select).  ke and foke keep their
     # instances as branch formulae and re-inspect them from the first at
     # every step, filtering the selected one against the branch again:
     # the cost the fused rule avoids.  Their cursor is never read.  foke

@@ -169,24 +169,27 @@ class _Plan:
     def search(self, patterns: List[Tuple], lits: frozenset,
                out: set) -> None:
         """Add to ``out`` every binding, as a tuple of values in variable
-        order, under which all patterns occur among ``lits``."""
+        order, under which all patterns occur among ``lits``.
+
+        The search is depth first over an explicit stack whose entry
+        ``i`` is pattern ``i``'s candidate iterator, so a query's length
+        is bounded by memory, not by the recursion limit.  Each step of
+        an iterator binds the pattern's free variables to its next match;
+        an exhausted iterator has unbound them again."""
         comp = self.comp
         pack = comp.pack
         domains = self.domains
         env: List[Optional[int]] = [None] * len(self.vars)
         npat = len(patterns)
 
-        def step(i: int) -> None:
-            if i == npat:
-                out.add(tuple(env))
-                return
+        def matches(i: int):
             kind, neg, *slots = patterns[i]
             values = [s if s >= 0 else env[~s] for s in slots]
             free = list(dict.fromkeys(~s for s, v in zip(slots, values)
                                       if v is None))
             if not free:
                 if pack(kind, *values, neg) in lits:
-                    step(i + 1)
+                    yield True
                 return
             probes = 1
             for x in free:
@@ -198,7 +201,7 @@ class _Plan:
                         env[x] = v
                     if pack(kind, *(s if s >= 0 else env[~s] for s in slots),
                             neg) in lits:
-                        step(i + 1)
+                        yield True
             else:
                 # Many candidates: scan the literals instead.
                 for l in lits:
@@ -216,11 +219,21 @@ class _Plan:
                         elif want != v:
                             break
                     else:
-                        step(i + 1)
+                        yield True
             for x in free:
                 env[x] = None
 
-        step(0)
+        if not npat:
+            out.add(tuple(env))
+            return
+        stack = [matches(0)]
+        while stack:
+            if not next(stack[-1], False):
+                stack.pop()
+            elif len(stack) == npat:
+                out.add(tuple(env))
+            else:
+                stack.append(matches(len(stack)))
 
     def decode(self, values: Tuple[int, ...]) -> Substitution:
         comp = self.comp

@@ -2,8 +2,9 @@
 
 import random
 
-from fourlqs import free_vars, parse_kb, saturate
+from fourlqs import parse_kb, saturate
 from fourlqs.bench import BenchConfig, gen_family, gen_random_kb
+from fourlqs.core import atom_vars
 from fourlqs.engine import CompiledKb
 
 from conftest import CONTRADICTION_KB
@@ -41,8 +42,7 @@ class TestGroundExpand:
     def test_no_quantified_variables_remain(self, italy_kb):
         for g in _grounding(italy_kb):
             for d in g:
-                v0, _, _ = free_vars(d)
-                assert all(not v.quantified for v in v0)
+                assert not any(v.quantified for v in atom_vars(d.atom))
 
 
 def _branch_multiset(result):

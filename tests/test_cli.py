@@ -166,6 +166,18 @@ class TestInternalError:
         assert rest.endswith("RuntimeError: boom\n")
 
 
+class TestLongQuery:
+    def test_thousand_conjuncts_exit_0(self, tmp_path, capsys):
+        kb = tmp_path / "one.4lqs"
+        kb.write_text("lit (in a A)\n")
+        q = tmp_path / "long.query"
+        q.write_text(" ".join(["(in ?x A)"] * 1000) + "\n")
+        assert main(["query", str(kb), "--q", str(q)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "?x=a\n"
+        assert captured.err == ""
+
+
 class TestParserReuse:
     def test_parser_built_once(self, italy_file, monkeypatch, capsys):
         built = []

@@ -1,4 +1,4 @@
-"""Formula core: substitutions, complement, free variables."""
+"""Formula core: substitutions and complement."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fourlqs import (EPSILON, Eq, KbBuilder, Literal, MalformedSubstitutionError,
                      Member1, Member3, NamespaceError, Substitution,
                      UniversalClause, Variable, apply_substitution, complement,
-                     compose, free_vars, parse_kb, qvar0, substitution0, var0,
-                     var1, var3)
-
-from conftest import ITALY_KB
+                     qvar0, substitution0, var0, var1, var3)
 
 
 def lit_rel(a, b, r, positive=True):
@@ -65,22 +62,6 @@ class TestSubstitution:
         assert out.disjuncts[0].atom.elem is z1
         assert out.disjuncts[1].atom.elem is var0("y")
 
-    def test_compose_identity_laws(self):
-        s = substitution0({var0("x"): var0("y")})
-        assert compose(EPSILON, s) == s
-        assert compose(s, EPSILON) == s
-
-    def test_compose_chains(self):
-        s = compose(substitution0({var0("x"): var0("y")}),
-                    substitution0({var0("y"): var0("w")}))
-        assert s.get(var0("x")) is var0("w")
-        assert s.get(var0("y")) is var0("w")
-
-    def test_compose_absorbs_identity_entry(self):
-        s = compose(substitution0({var0("x"): var0("z"), var0("y"): var0("z")}),
-                    substitution0({var0("z"): var0("z")}))
-        assert s == substitution0({var0("x"): var0("z"), var0("y"): var0("z")})
-
 
 class TestComplement:
     def test_flip(self):
@@ -90,28 +71,6 @@ class TestComplement:
     def test_atom_shared(self):
         l = lit_rel("a", "b", "R")
         assert complement(l).atom is l.atom
-
-
-class TestFreeVars:
-    def test_pair_literal(self):
-        v0, v1s, v3s = free_vars(lit_rel("x", "y", "R"))
-        assert v0 == {var0("x"), var0("y")}
-        assert v1s == frozenset()
-        assert v3s == {var3("R")}
-
-    def test_clause_binds_quantified(self):
-        z1 = qvar0("z1")
-        cl = UniversalClause((z1,), (Literal(True, Member1(z1, var1("A"))),
-                                     lit_in("x", "A")))
-        v0, v1s, _ = free_vars(cl)
-        assert v0 == {var0("x")}
-        assert v1s == {var1("A")}
-
-    def test_worked_example_kb(self):
-        kb = parse_kb(ITALY_KB)
-        v0, _, v3s = free_vars(kb)
-        assert v0 == {var0("Italy"), var0("Rome")}
-        assert v3s == {var3("locatedIn"), var3("isPartOf")}
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +107,6 @@ def substitutions(draw):
 def test_complement_is_involution(l):
     assert complement(complement(l)) == l
     assert complement(l).atom is l.atom
-
-
-@given(literals(), substitutions(), substitutions())
-@settings(max_examples=500)
-def test_compose_agrees_with_sequential_application(l, s1, s2):
-    assert apply_substitution(l, compose(s1, s2)) == \
-        apply_substitution(apply_substitution(l, s1), s2)
-
-
-@given(substitutions(), substitutions(), substitutions(), literals())
-@settings(max_examples=500)
-def test_compose_associative_extensionally(s1, s2, s3, l):
-    left = compose(compose(s1, s2), s3)
-    right = compose(s1, compose(s2, s3))
-    assert apply_substitution(l, left) == apply_substitution(l, right)
 
 
 @given(st.lists(literals(), min_size=1, max_size=4), substitutions())

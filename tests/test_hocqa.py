@@ -120,6 +120,17 @@ class TestAnswer:
         ans = answer(q, res)
         assert ans.keys() == {((("?v", "a"),), (("b", "a"),))}
 
+    def test_long_query_is_not_bounded_by_recursion(self):
+        """The search keeps one stack entry per conjunct, so a query far
+        longer than the recursion limit is answered, as the oracle
+        answers it."""
+        kb = parse_kb("ind a b c\nlit (in a A)\nlit (in b A)\n"
+                      "lit (not (in c A))\n")
+        q = parse_query("(in ?x A) (in ?y A) " * 1000, kb)
+        keys = answer(q, saturate(kb)).keys()
+        assert len(keys) == 4
+        assert keys == brute_answers(kb, q)
+
     def test_stale_branch_error(self, italy_kb, italy_result):
         other = parse_kb("lit (in a A)")
         q = parse_query("(in ?v A)", other)

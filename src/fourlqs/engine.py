@@ -13,8 +13,12 @@ which is exactly the comparison the benchmark harness isolates:
   complement child, the unresolved disjuncts of the job that child's
   split was made on, so the child resumes with the rest of that list
   instead of scanning the job again: one list per level of the explicit
-  stack, at most ``peak_stack_depth`` + 1, and never a grounding.
-  ``peak_resident_formulae`` still counts the current branch only.
+  stack, at most ``peak_stack_depth`` + 1, and never a grounding.  It
+  also keeps one watched literal per job, the disjunct that last
+  discharged it, and skips the job while that literal is on the branch:
+  8 bytes per job for the list plus the literal integers it keeps
+  alive, never an instance.  ``peak_resident_formulae`` still counts the
+  current branch only.
 * ``ke``   -- classic elimination over an up-front grounding: every
   instance is materialised before exploration and lives on the branch as
   a formula.  Each expansion step re-selects the first not-yet-fulfilled
@@ -237,11 +241,7 @@ class CompiledKb:
         return any(isinstance(d.atom, Eq)
                    for cl in kb.clauses for d in cl.disjuncts)
 
-    def encode(self, lit: Literal, ind_ix=None, sym1_ix=None, sym3_ix=None) -> int:
-        if ind_ix is None:
-            ind_ix = {v: i for i, v in enumerate(self.inds)}
-            sym1_ix = {v: 1 + i for i, v in enumerate(self.set1s)}
-            sym3_ix = {v: 1 + len(self.set1s) + i for i, v in enumerate(self.set3s)}
+    def encode(self, lit: Literal, ind_ix, sym1_ix, sym3_ix) -> int:
         a = lit.atom
         neg = 0 if lit.positive else 1
         if isinstance(a, Eq):
@@ -656,6 +656,13 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
     one on the branch, and otherwise keeps those whose complement is not
     on it, in disjunct order.  It builds no instance.
 
+    ``watch[j]`` is the disjunct that last stopped job ``j``'s scan, or
+    -1.  It is a disjunct of job ``j``'s own instance, so while it is on
+    the branch the job is discharged and is passed over without being
+    ground; once backtracking has removed it, the job is ground again.
+    The watch list takes 8 bytes per job, plus the literal integers it
+    keeps alive; it holds no instance.
+
     One list is kept per level of the explicit stack: ``held[d]`` is the
     last unresolved list returned while ``stack`` held ``d`` entries.  A
     split on its first literal ``bh`` pushes the complement child as entry
@@ -674,6 +681,7 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
     njobs = len(jobs)
     twok = comp.twok
     held: List[List[int]] = []
+    watch = [-1] * njobs
     last = -1
 
     def select(j):
@@ -691,6 +699,9 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
                 return j, rest
             j += 1
         while j < njobs:
+            if watch[j] in bset:
+                j += 1
+                continue
             specs, tau = jobs[j]
             # Ground each disjunct as CompiledKb.instantiate does: lit
             # starts as the spec's constant.
@@ -701,6 +712,7 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
                 if ib >= 0:
                     lit += tau[ib] * 2
                 if lit in bset:
+                    watch[j] = lit
                     break
                 if (lit ^ 1) not in bset:
                     missing.append(lit)
@@ -793,11 +805,12 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # at a time, stops at the first discharging one, builds no instance
     # and stores none on the branch: the cursor witnesses that every
     # earlier job is discharged.  It keeps, per pending complement child,
-    # only the unresolved disjuncts of that child's split, and never a
-    # grounding (see _keg_select).  ke and foke keep their
-    # instances as branch formulae and re-inspect them from the first at
-    # every step, filtering the selected one against the branch again:
-    # the cost the fused rule avoids.  Their cursor is never read.  foke
+    # only the unresolved disjuncts of that child's split, and per job
+    # the literal that last discharged it, never a grounding (see
+    # _keg_select).  ke and foke keep their instances as branch
+    # formulae and re-inspect them from the first at every step,
+    # filtering the selected one against the branch again: the cost the
+    # fused rule avoids.  Their cursor is never read.  foke
     # parks the next job's instance on the branch when every resident is
     # discharged, and residents pop on backtrack.
     stack: List[Tuple[int, int, int, int, int, int]] = []

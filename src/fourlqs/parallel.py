@@ -168,7 +168,10 @@ def run_parallel(comp, engine: str, opts, workers: int,
     reaped as soon as a script trips a limit or the merged leaf count
     passes ``max_branches``.  Each script still gets the whole branch budget,
     so a run that trips past the probe may report up to twice
-    ``max_branches`` leaves.
+    ``max_branches`` leaves.  Which leaves such a run has counted depends
+    on when each helper is killed, so its partial counts, statistics and
+    branches can differ from one run to the next; a run that trips no
+    limit, and one that trips inside the probe, always reports the same.
     """
     try:
         return _run(comp, opts, engine, deadline=deadline,

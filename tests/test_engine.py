@@ -837,8 +837,13 @@ class TestModelBuilder:
         from fourlqs.engine import CompiledKb
         kb = parse_kb(text)
         comp = CompiledKb(kb)
-        return ModelBuilder(comp), (tuple(comp.encode(l) for l in lits),
-                                    sigma_items)
+        ind_ix = {v: i for i, v in enumerate(comp.inds)}
+        sym1_ix = {v: 1 + i for i, v in enumerate(comp.set1s)}
+        sym3_ix = {v: 1 + len(comp.set1s) + i
+                   for i, v in enumerate(comp.set3s)}
+        return ModelBuilder(comp), (
+            tuple(comp.encode(l, ind_ix, sym1_ix, sym3_ix) for l in lits),
+            sigma_items)
 
     def test_complementary_pair_rejected(self):
         a_in = Literal(True, Member1(var0("a"), var1("A")))
@@ -887,7 +892,10 @@ class TestModelBuilder:
 # disjunct twice, so the child's remaining disjuncts can run out.  With
 # four disjuncts a resumed child has at least two left and splits again,
 # and at z = z1 a copy of the split literal can come after it with
-# another disjunct in between.
+# another disjunct in between.  In ``stale-watch`` (in b A) discharges
+# the second clause's job at b in the fulfilling subtree, and the
+# complement child, which holds (not (in b A)), must ground that job
+# again rather than trust the literal keg last watched it with.
 RESUME_KBS = {
     "tautologous": "ind a b\nlit (in b B)\n"
                    "clause (forall z z1) (or (in z A) (not (in z1 A)) (in z B))\n",
@@ -908,6 +916,9 @@ RESUME_KBS = {
     "eq-nested-duplicate": "ind a b c\nlit (not (in c B))\n"
                            "clause (forall z z1) "
                            "(or (eq z a) (in z B) (eq z1 a) (in z1 A))\n",
+    "stale-watch": "ind a b\n"
+                   "clause (forall z) (or (in z A) (in z B))\n"
+                   "clause (forall z) (or (in z A) (in z C))\n",
 }
 
 
@@ -965,14 +976,18 @@ class TestKegResume:
 
     def test_keg_peak_bytes_below_ke(self):
         """The kept instances leave keg's traced peak, compile included,
-        below ke's on the 7,058-branch KB."""
+        below ke's on the 7,058-branch KB.  Each engine is traced afresh
+        with one frame: ``start`` leaves a tracer that is already running
+        (``PYTHONTRACEMALLOC``, ``-X tracemalloc``) at its own depth and
+        with its own peak, so any such tracer is stopped first."""
         import tracemalloc
         kb = _paper_kb(NOT_AB)
         opts = EngineOptions(collect_branches=False)
         peaks = {}
         for engine in ("keg", "ke"):
             saturate(kb, opts, engine=engine)
-            tracemalloc.start()
+            tracemalloc.stop()
+            tracemalloc.start(1)
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 assert saturate(kb, opts, engine=engine).open_count == 7_058

@@ -4,8 +4,8 @@ model extraction, and higher-order conjunctive query answering."""
 from .core import (EPSILON, SORT0, SORT1, SORT3, Eq, FourlqsError,
                    KnowledgeBase, KbBuilder, Literal, MalformedSubstitutionError,
                    Member1, Member3, NamespaceError, PreconditionError,
-                   Substitution, UniversalClause, Variable, apply_substitution,
-                   complement, qvar0, substitution0, var0, var1, var3)
+                   Substitution, UniversalClause, Variable, qvar0,
+                   substitution0, var0, var1, var3)
 from .engine import (Branch, EngineOptions, EngineStats, ResourceLimitError,
                      SaturationResult, saturate)
 from .hocqa import (Answer, AnswerSet, StaleBranchError, TaskArityError,

@@ -159,11 +159,6 @@ class Literal:
         return body if self.positive else f"¬({body})"
 
 
-def complement(lit: Literal) -> Literal:
-    """Flip the polarity; the atom payload is shared, so this is an involution."""
-    return Literal(not lit.positive, lit.atom)
-
-
 def atom_vars(atom: Atom) -> Tuple[Variable, ...]:
     if isinstance(atom, Eq):
         return (atom.left, atom.right)
@@ -406,51 +401,6 @@ EPSILON = Substitution()
 
 def substitution0(pairs: Mapping[Variable, Variable]) -> Substitution:
     return Substitution(map0=dict(pairs))
-
-
-def _apply_atom(atom: Atom, lookup) -> Atom:
-    if isinstance(atom, Eq):
-        return Eq(lookup(atom.left), lookup(atom.right))
-    if isinstance(atom, Member1):
-        return Member1(lookup(atom.elem), lookup(atom.set1))
-    return Member3(lookup(atom.first), lookup(atom.second), lookup(atom.set3))
-
-
-def apply_substitution(f, s: Substitution):
-    """Replace free occurrences of variables in ``f`` according to ``s``.
-
-    Quantified occurrences inside a clause are never touched; since
-    placeholders are interned apart from free names, any substitution is
-    free for any clause by construction.
-    """
-    if isinstance(f, Literal):
-        if s.is_empty():
-            return f
-        return Literal(f.positive, _apply_atom(f.atom, s.get))
-    if isinstance(f, UniversalClause):
-        if s.is_empty():
-            return f
-        bound = set(f.quantified)
-
-        def lookup(v: Variable) -> Variable:
-            return v if v in bound else s.get(v)
-
-        return UniversalClause(
-            f.quantified,
-            tuple(Literal(d.positive, _apply_atom(d.atom, lookup))
-                  for d in f.disjuncts))
-    if isinstance(f, KnowledgeBase):
-        builder = KbBuilder()
-        for order, sort in ((f.var0_order, SORT0), (f.var1_order, SORT1),
-                            (f.var3_order, SORT3)):
-            for v in order:
-                builder.free(sort, s.get(v).name)
-        for lit in f.literals:
-            builder.add_literal(apply_substitution(lit, s))
-        for cl in f.clauses:
-            builder.add_clause(apply_substitution(cl, s))
-        return builder.build()
-    raise TypeError(f"cannot apply a substitution to {type(f).__name__}")
 
 
 def answer_key(binding: Substitution, merges: Substitution):

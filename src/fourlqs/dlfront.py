@@ -80,7 +80,29 @@ class _FreshNamer:
                 return Variable(SORT0, name, quantified=True)
 
 
-def _parse_cexpr(p: LineParser) -> Cexpr:
+def _stackless(call):
+    """The return value of ``call``, a generator that yields the
+    generator of each sub-call and is sent back its result.  The pending
+    calls wait on an explicit stack, so a concept expression's nesting is
+    bounded by memory, not by the interpreter's recursion limit."""
+    stack = [call]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
+def _parse_cexpr(p: LineParser):
+    """One concept expression from ``p``; a recursive generator, run by
+    :func:`_stackless`."""
     tok = p.take()
     if tok != "(":
         if tok == "top":
@@ -93,13 +115,13 @@ def _parse_cexpr(p: LineParser) -> Cexpr:
     head = p.take()
     at = p.pos - 1
     if head == "not":
-        e = _parse_cexpr(p)
+        e = yield _parse_cexpr(p)
         p.expect(")")
         return ("not", e)
     if head in ("and", "or"):
         parts = []
         while p.peek() != ")":
-            parts.append(_parse_cexpr(p))
+            parts.append((yield _parse_cexpr(p)))
         p.expect(")")
         if len(parts) < 2:
             raise p.fail(f"{head} needs at least two operands", at=at)
@@ -140,8 +162,8 @@ def parse_dl(text: str) -> List[DlAxiom]:
             a, b = names(2)
             axioms.append(DlAxiom("Disagreement", individuals=(a, b)))
         elif kw == "subsume":
-            lhs = _parse_cexpr(p)
-            rhs = _parse_cexpr(p)
+            lhs = _stackless(_parse_cexpr(p))
+            rhs = _stackless(_parse_cexpr(p))
             if not p.done():
                 raise p.fail("trailing tokens after subsume", "arity")
             axioms.append(DlAxiom("ConceptInclusion", lhs=lhs, rhs=rhs))
@@ -185,7 +207,9 @@ def parse_dl(text: str) -> List[DlAxiom]:
 # Clause-form conversion for Boolean concept expressions
 # ---------------------------------------------------------------------------
 
-def _nnf(e: Cexpr, positive: bool) -> Cexpr:
+def _nnf(e: Cexpr, positive: bool):
+    """Negation normal form of ``e`` (negated when not ``positive``); a
+    recursive generator, run by :func:`_stackless`."""
     tag = e[0]
     if tag == "name":
         return e if positive else ("not", e)
@@ -194,19 +218,21 @@ def _nnf(e: Cexpr, positive: bool) -> Cexpr:
     if tag == "bot":
         return ("bot",) if positive else ("top",)
     if tag == "not":
-        return _nnf(e[1], not positive)
-    if tag == "and":
-        parts = tuple(_nnf(x, positive) for x in e[1])
-        return ("and" if positive else "or", parts)
-    if tag == "or":
-        parts = tuple(_nnf(x, positive) for x in e[1])
-        return ("or" if positive else "and", parts)
+        return (yield _nnf(e[1], not positive))
+    if tag in ("and", "or"):
+        parts = []
+        for x in e[1]:
+            parts.append((yield _nnf(x, positive)))
+        if not positive:
+            tag = "or" if tag == "and" else "and"
+        return (tag, tuple(parts))
     raise ValueError(f"bad concept expression {e!r}")
 
 
-def _cnf(e: Cexpr) -> Optional[List[List[Tuple[str, bool]]]]:
+def _cnf(e: Cexpr):
     """Clause list of an NNF expression; literals are (name, positive).
-    None encodes the constantly-false expression; an empty list, true."""
+    None encodes the constantly-false expression; an empty list, true.
+    A recursive generator, run by :func:`_stackless`."""
     tag = e[0]
     if tag == "top":
         return []
@@ -219,7 +245,7 @@ def _cnf(e: Cexpr) -> Optional[List[List[Tuple[str, bool]]]]:
     if tag == "and":
         clauses: List[List[Tuple[str, bool]]] = []
         for part in e[1]:
-            sub = _cnf(part)
+            sub = yield _cnf(part)
             if sub is None:
                 return None
             clauses.extend(sub)
@@ -227,7 +253,7 @@ def _cnf(e: Cexpr) -> Optional[List[List[Tuple[str, bool]]]]:
     if tag == "or":
         subs = []
         for part in e[1]:
-            sub = _cnf(part)
+            sub = yield _cnf(part)
             if sub is None:
                 continue  # false disjunct drops out
             if not sub:
@@ -262,14 +288,19 @@ def _simplify(clauses: List[List[Tuple[str, bool]]]):
 
 
 def _names_in(e: Cexpr) -> List[str]:
-    tag = e[0]
-    if tag == "name":
-        return [e[1]]
-    if tag in ("top", "bot"):
-        return []
-    if tag == "not":
-        return _names_in(e[1])
-    return [n for part in e[1] for n in _names_in(part)]
+    """The concept names of ``e``, left to right."""
+    names = []
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        tag = e[0]
+        if tag == "name":
+            names.append(e[1])
+        elif tag == "not":
+            todo.append(e[1])
+        elif tag not in ("top", "bot"):
+            todo.extend(reversed(e[1]))
+    return names
 
 
 def translate_axiom(ax: DlAxiom, namer: Optional[_FreshNamer] = None
@@ -305,8 +336,8 @@ def translate_axiom(ax: DlAxiom, namer: Optional[_FreshNamer] = None
     if k == "Disagreement":
         return [Literal(False, Eq(ind(ax.individuals[0]), ind(ax.individuals[1])))]
     if k == "ConceptInclusion":
-        body = _nnf(("or", (("not", ax.lhs), ax.rhs)), True)
-        clauses = _cnf(body)
+        body = _stackless(_nnf(("or", (("not", ax.lhs), ax.rhs)), True))
+        clauses = _stackless(_cnf(body))
         if clauses is None:
             # The inclusion is unsatisfiable over a nonempty domain; the
             # clause form of falsity is (forall z) not (z = z).

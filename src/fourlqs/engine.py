@@ -9,16 +9,16 @@ which is exactly the comparison the benchmark harness isolates:
   grounding one disjunct at a time against the branch; it stops at the
   first discharging disjunct and builds no instance.  No instance lives
   on the branch, and the cursor position itself witnesses fulfillment,
-  so there is no per-instance branch state.  keg keeps, per pending
-  complement child, the unresolved disjuncts of the job that child's
-  split was made on, so the child resumes with the rest of that list
-  instead of scanning the job again: one list per level of the explicit
-  stack, at most ``peak_stack_depth`` + 1, and never a grounding.  It
-  also keeps one watched literal per job, the disjunct that last
-  discharged it, and skips the job while that literal is on the branch:
-  8 bytes per job for the list plus the literal integers it keeps
-  alive, never an instance.  ``peak_resident_formulae`` still counts the
-  current branch only.
+  so there is no per-instance branch state.  A pending complement child
+  carries its unresolved disjuncts on its stack entry, next to the trail
+  length, equality count, resident count, literal, cursor and depth.
+  They are the rest of its split's list, so the child acts on them
+  without selecting or scanning the job again: one list per entry of the
+  explicit stack, never a grounding.  keg also keeps one watched literal
+  per job, the disjunct that last discharged it, and skips the job while
+  that literal is on the branch: 8 bytes per job for the list plus the
+  literal integers it keeps alive, never an instance.
+  ``peak_resident_formulae`` still counts the current branch only.
 * ``ke``   -- classic elimination over an up-front grounding: every
   instance is materialised before exploration and lives on the branch as
   a formula.  Each expansion step re-selects the first not-yet-fulfilled
@@ -151,7 +151,8 @@ class CompiledKb:
 
     __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "twok",
                  "ground_lits", "clause_specs", "jobs", "_instances",
-                 "eq_pos", "neg_eq_diag", "has_eq", "length_bound")
+                 "eq_pos", "neg_eq_diag", "eq_marked", "has_eq",
+                 "length_bound")
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
@@ -218,6 +219,10 @@ class CompiledKb:
         else:
             self.eq_pos = frozenset()
             self.neg_eq_diag = frozenset()
+        # The literals an added literal is tested against: it extends
+        # the equality sequence (eq_pos) or closes the branch
+        # (neg_eq_diag, the odd ones).
+        self.eq_marked = self.eq_pos | self.neg_eq_diag
 
         # Height bound: ground conjuncts plus, per clause, disjuncts times
         # instantiation count.  Asserted at every leaf.
@@ -646,7 +651,7 @@ class ProbeExpired(Exception):
     deadline; what the run gathered until then is discarded."""
 
 
-def _keg_select(comp: CompiledKb, bset: set, stack: list):
+def _keg_select(comp: CompiledKb, bset: set):
     """keg's selection policy for one :func:`_run`: the first job at or
     after the cursor whose instance no branch literal discharges, and
     that instance's unresolved disjuncts.  The cursor witnesses that
@@ -663,41 +668,18 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
     The watch list takes 8 bytes per job, plus the literal integers it
     keeps alive; it holds no instance.
 
-    One list is kept per level of the explicit stack: ``held[d]`` is the
-    last unresolved list returned while ``stack`` held ``d`` entries.  A
-    split on its first literal ``bh`` pushes the complement child as entry
-    ``d``, and the whole fulfilling subtree runs above that entry, so when
-    the child is popped ``held[d]`` is still the list its split was made
-    on.  The child's branch is the split's plus ``bh ^ 1``, so its own
-    list is the rest of that list without any copy of ``bh``: it is
-    neither scanned nor filtered again.  When ``bh ^ 1`` is itself a
-    disjunct, the child discharges the instance and the scan goes on from
-    the next job.  A resumed child that splits again does so on its own
-    list, so that list replaces the level's entry.  A call resumes
-    exactly when its cursor is not past the last job selected, since the
-    explorer otherwise moves the cursor one past it.
+    A complement child whose split carried its list on the stack entry
+    does not call this (see :func:`_run`).  A replayed complement child,
+    which has no entry, grounds its split's job again and gets the same
+    list, since the scan drops every disjunct whose complement is on the
+    branch and the split literal's complement now is.
     """
     jobs = comp.jobs
     njobs = len(jobs)
     twok = comp.twok
-    held: List[List[int]] = []
     watch = [-1] * njobs
-    last = -1
 
     def select(j):
-        nonlocal last
-        if j <= last:
-            d = len(stack)
-            missing = held[d]
-            bh = missing[0]
-            rest = missing[1:]
-            if (bh ^ 1) not in rest:
-                if bh in rest:
-                    rest = [l for l in rest if l != bh]
-                held[d] = rest
-                last = j
-                return j, rest
-            j += 1
         while j < njobs:
             if watch[j] in bset:
                 j += 1
@@ -717,15 +699,8 @@ def _keg_select(comp: CompiledKb, bset: set, stack: list):
                 if (lit ^ 1) not in bset:
                     missing.append(lit)
             else:
-                d = len(stack)
-                if d < len(held):
-                    held[d] = missing
-                else:
-                    held.append(missing)
-                last = j
                 return j, missing
             j += 1
-        last = j
         return None
     return select
 
@@ -740,18 +715,27 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     One loop explores the tree for every engine.  At a split it enters
     the fulfilling child and pushes the complement child on an explicit
     stack as (trail length, equality count, resident count, literal,
-    cursor, depth); at a leaf it pops the next entry, undoes the branch
-    to the saved lengths and enters it.  An engine is only its ``select``
-    policy: for the first instance (at or after keg's cursor) that no
-    branch literal discharges, its job index and its unresolved disjuncts,
-    those whose complement is not on the branch; or ``None`` when every
-    instance is discharged.  One unresolved disjunct is eliminated, none
-    closes the branch, and more split on the first.
+    cursor, depth, carried list); at a leaf it pops the next entry,
+    undoes the branch to the saved lengths and enters it.  An engine is
+    only its ``select`` policy: for the first instance (at or after keg's
+    cursor) that no branch literal discharges, its job index and its
+    unresolved disjuncts, those whose complement is not on the branch; or
+    ``None`` when every instance is discharged.  One unresolved disjunct
+    is eliminated, none closes the branch, and more split on the first.
+
+    A policy that ``resumes`` (keg) has its split carry the complement
+    child's unresolved list in the entry: the rest of the split's list
+    without any copy of the split literal, whose complement the child
+    adds.  The popped child acts on that list and does not select.  When
+    the added complement is itself a disjunct, the child discharges the
+    job, so the entry carries ``None`` and the next job as its cursor.
+    The other policies carry ``None`` and re-select in the child.
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child); while replaying, counters and leaves
     are only attributed to this run if the remaining script is all zeros,
-    so a partitioned parallel run counts every node exactly once.
+    so a partitioned parallel run counts every node exactly once.  A
+    replayed complement child has no entry and selects.
 
     ``deadline`` is the absolute ``perf_counter`` reading at which
     ``opts.max_seconds`` runs out; every split and every counted leaf
@@ -769,12 +753,17 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     has_eq = comp.has_eq
     eq_pos = comp.eq_pos
     neg_eq_diag = comp.neg_eq_diag
+    eq_marked = comp.eq_marked
     kdim = comp.k
     length_bound = comp.length_bound
     merges = _MergeCache(comp) if has_eq else None
     by_eqs = merges.by_eqs if has_eq else None
 
+    # The loop's counters live in locals and reach ``stats`` when it
+    # ends; foke's policy writes its own two fields.
     stats = EngineStats()
+    rule_apps = pb_apps = 0
+    peak_depth = peak_lits = peak_res = 0
     nopen = nclosed = 0
     collected: List[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]] = []
 
@@ -787,6 +776,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
 
     max_branches = opts.max_branches
     timed = deadline is not None or probe is not None
+    limits = timed or max_branches is not None
     time_limit = f"time limit {opts.max_seconds}s exceeded"
 
     def out_of_time() -> bool:
@@ -804,20 +794,22 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # Selection policies.  keg scans the job at the cursor one disjunct
     # at a time, stops at the first discharging one, builds no instance
     # and stores none on the branch: the cursor witnesses that every
-    # earlier job is discharged.  It keeps, per pending complement child,
-    # only the unresolved disjuncts of that child's split, and per job
-    # the literal that last discharged it, never a grounding (see
-    # _keg_select).  ke and foke keep their instances as branch
-    # formulae and re-inspect them from the first at every step,
-    # filtering the selected one against the branch again: the cost the
-    # fused rule avoids.  Their cursor is never read.  foke
-    # parks the next job's instance on the branch when every resident is
-    # discharged, and residents pop on backtrack.
-    stack: List[Tuple[int, int, int, int, int, int]] = []
+    # earlier job is discharged.  It resumes: a complement child's
+    # unresolved list rides on its stack entry, and per job keg keeps the
+    # literal that last discharged it, never a grounding (see
+    # _keg_select).  ke and foke keep their instances as branch formulae
+    # and re-inspect them from the first at every step, a complement
+    # child included, filtering the selected one against the branch
+    # again: the cost the fused rule avoids.  Their cursor is never read.
+    # foke parks the next job's instance on the branch when every
+    # resident is discharged, and residents pop on backtrack.
+    stack: List[Tuple[int, int, int, int, int, int, Optional[List[int]]]] = []
     if engine == "keg":
-        select = _keg_select(comp, bset, stack)
+        select = _keg_select(comp, bset)
+        resumes = True
     elif engine == "ke":
         instances = comp.instances
+        resumes = False
 
         def select(j):
             for lits in instances:
@@ -825,6 +817,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     return j, [l for l in lits if (l ^ 1) not in bset]
             return None
     elif engine == "foke":
+        resumes = False
+
         def select(j):
             while True:
                 for lits in resident:
@@ -858,21 +852,24 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     limited = None
     leaf = True if root_closed else None  # True closed, False open
     lit, j, depth = -1, 0, 0              # lit: the literal to add next
+    carried = None                        # a popped child's unresolved list
     while True:
         if leaf is not None:
             if counting:
-                if max_branches is not None and nopen + nclosed >= max_branches:
-                    limited = f"branch limit {max_branches} reached"
-                    break
-                if timed and out_of_time():
-                    limited = time_limit
-                    break
+                if limits:
+                    if (max_branches is not None
+                            and nopen + nclosed >= max_branches):
+                        limited = f"branch limit {max_branches} reached"
+                        break
+                    if timed and out_of_time():
+                        limited = time_limit
+                        break
                 n = len(order)
-                if n > stats.peak_branch_literals:
-                    stats.peak_branch_literals = n
+                if n > peak_lits:
+                    peak_lits = n
                 res = n + base_resident + len(resident)
-                if res > stats.peak_resident_formulae:
-                    stats.peak_resident_formulae = res
+                if res > peak_res:
+                    peak_res = res
                 if leaf:
                     nclosed += 1
                 elif n > length_bound:
@@ -905,7 +902,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                         collected.append((tuple(order), ()))
             if not stack:
                 break
-            so, se, sr, lit, j, depth = stack.pop()
+            so, se, sr, lit, j, depth, carried = stack.pop()
             while len(order) > so:
                 bset.discard(order.pop())
             del eqlits[se:]
@@ -914,25 +911,30 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         if lit >= 0:
             # A split or elimination literal.  It never meets its
             # complement (the step checked that) but a negated trivial
-            # equality still closes.
-            if has_eq and lit in neg_eq_diag:
-                leaf = True
-                continue
+            # equality still closes; eq_marked holds exactly those and
+            # the equalities between distinct individuals.
+            if has_eq and lit in eq_marked:
+                if lit & 1:
+                    leaf = True
+                    continue
+                eqlits.append(divmod(lit >> 1, kdim))
             bset.add(lit)
             order.append(lit)
-            if has_eq and lit in eq_pos:
-                eqlits.append(divmod(lit >> 1, kdim))
             lit = -1
-            if depth > stats.peak_stack_depth:
-                stats.peak_stack_depth = depth
-        selected = select(j)
-        if selected is None:
-            leaf = False
-            continue
-        j, missing = selected
+            if depth > peak_depth:
+                peak_depth = depth
+        if carried is None:
+            selected = select(j)
+            if selected is None:
+                leaf = False
+                continue
+            j, missing = selected
+        else:
+            missing = carried
+            carried = None
         if len(missing) < 2:
             if counting:
-                stats.rule_apps += 1
+                rule_apps += 1
             if not missing:
                 leaf = True
                 continue
@@ -945,7 +947,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             limited = time_limit
             break
         if counting:
-            stats.pb_apps += 1
+            pb_apps += 1
         bh = missing[0]
         depth += 1
         if sp < slen:
@@ -955,12 +957,27 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             if follow:
                 lit = bh ^ 1
                 continue
+        elif resumes:
+            rest = missing[1:]
+            if (bh ^ 1) in rest:
+                stack.append((len(order), len(eqlits), len(resident), bh ^ 1,
+                              j + 1, depth, None))
+            else:
+                if bh in rest:
+                    rest = [l for l in rest if l != bh]
+                stack.append((len(order), len(eqlits), len(resident), bh ^ 1,
+                              j, depth, rest))
         else:
             stack.append((len(order), len(eqlits), len(resident), bh ^ 1, j,
-                          depth))
+                          depth, None))
         lit = bh
         j += 1
 
+    stats.rule_apps = rule_apps
+    stats.pb_apps = pb_apps
+    stats.peak_stack_depth = peak_depth
+    stats.peak_branch_literals = peak_lits
+    stats.peak_resident_formulae = max(stats.peak_resident_formulae, peak_res)
     if stats.peak_resident_formulae == 0:
         stats.peak_resident_formulae = len(order) + base_resident
     return {"open": nopen, "closed": nclosed}, stats, collected, limited

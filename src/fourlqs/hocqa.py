@@ -267,6 +267,8 @@ def answer(q: Query, result: SaturationResult) -> AnswerSet:
     for sigma_items, branches in groups.items():
         patterns = plan.merged(sigma_items)
         relevant = plan.relevant(patterns, set().union(*branches))
+        if patterns and not relevant:
+            continue  # no literal of the group matches a conjunct
         found = set()
         # Bindings depend only on the literals that match a pattern, so
         # one search per distinct projection finds them all.

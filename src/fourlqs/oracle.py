@@ -30,11 +30,51 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .core import (SORT0, SORT1, SORT3, Eq, FourlqsError, KnowledgeBase,
-                   Literal, Member1, Member3, PreconditionError, Substitution,
-                   UniversalClause, answer_key, apply_substitution,
-                   complement, substitution0)
+from .core import (SORT0, SORT1, SORT3, Atom, Eq, FourlqsError,
+                   KnowledgeBase, Literal, Member1, Member3, PreconditionError,
+                   Substitution, UniversalClause, Variable, answer_key,
+                   substitution0)
 from .syntax import Query
+
+
+def complement(lit: Literal) -> Literal:
+    """Flip the polarity; the atom payload is shared, so this is an involution."""
+    return Literal(not lit.positive, lit.atom)
+
+
+def _apply_atom(atom: Atom, lookup) -> Atom:
+    if isinstance(atom, Eq):
+        return Eq(lookup(atom.left), lookup(atom.right))
+    if isinstance(atom, Member1):
+        return Member1(lookup(atom.elem), lookup(atom.set1))
+    return Member3(lookup(atom.first), lookup(atom.second), lookup(atom.set3))
+
+
+def apply_substitution(f, s: Substitution):
+    """Replace free occurrences of variables in the literal or clause
+    ``f`` according to ``s``.
+
+    Quantified occurrences inside a clause are never touched; since
+    placeholders are interned apart from free names, any substitution is
+    free for any clause by construction.
+    """
+    if isinstance(f, Literal):
+        if s.is_empty():
+            return f
+        return Literal(f.positive, _apply_atom(f.atom, s.get))
+    if isinstance(f, UniversalClause):
+        if s.is_empty():
+            return f
+        bound = set(f.quantified)
+
+        def lookup(v: Variable) -> Variable:
+            return v if v in bound else s.get(v)
+
+        return UniversalClause(
+            f.quantified,
+            tuple(Literal(d.positive, _apply_atom(d.atom, lookup))
+                  for d in f.disjuncts))
+    raise TypeError(f"cannot apply a substitution to {type(f).__name__}")
 
 
 class BoundsExceededError(FourlqsError):

@@ -81,7 +81,7 @@ def test_criterion_2_answer_agreement():
         for ans in got:
             if semantic_checks >= 300:
                 break
-            from fourlqs.core import apply_substitution
+            from fourlqs.oracle import apply_substitution
             conj = [apply_substitution(apply_substitution(c, ans.merges),
                                        ans.binding) for c in q.conjuncts]
             # The source branch's model satisfies the KB and every

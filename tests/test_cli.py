@@ -178,6 +178,18 @@ class TestLongQuery:
         assert captured.err == ""
 
 
+class TestDeepTranslate:
+    def test_negation_nested_2000_deep_exit_0(self, tmp_path, capsys):
+        n = 2000
+        dl = tmp_path / "deep.dl"
+        dl.write_text("subsume " + "(not " * n + "A" + ")" * n + " B\n")
+        assert main(["translate", str(dl)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == \
+            "clause (forall z1) (or (not (in z1 A)) (in z1 B))\n"
+        assert captured.err == ""
+
+
 class TestParserReuse:
     def test_parser_built_once(self, italy_file, monkeypatch, capsys):
         built = []

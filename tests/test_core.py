@@ -1,12 +1,14 @@
-"""Formula core: substitutions and complement."""
+"""Formula core: substitutions, and the oracle's substitution and
+complement over literals and clauses."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourlqs import (EPSILON, Eq, KbBuilder, Literal, MalformedSubstitutionError,
                      Member1, Member3, NamespaceError, Substitution,
-                     UniversalClause, Variable, apply_substitution, complement,
-                     qvar0, substitution0, var0, var1, var3)
+                     UniversalClause, Variable, qvar0, substitution0, var0,
+                     var1, var3)
+from fourlqs.oracle import apply_substitution, complement
 
 
 def lit_rel(a, b, r, positive=True):

@@ -273,3 +273,35 @@ class TestDlParsing:
         assert res.consistent
         rendered = render_kb(kb)
         assert parse_kb(rendered) == kb
+
+
+class TestDeepNesting:
+    """Parsing and clause conversion keep their pending work on explicit
+    stacks, so nesting is bounded by memory, not by the recursion limit."""
+
+    DEPTH = 2000
+
+    def test_deep_double_negation(self):
+        n = self.DEPTH
+        kb = translate_kb(parse_dl(
+            "subsume " + "(not " * n + "A" + ")" * n + " B"))
+        assert kb == translate_kb(parse_dl("subsume A B"))
+
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_deep_and_or_match_flat(self, op):
+        n = self.DEPTH
+        names = [f"A{i}" for i in range(n + 1)]
+        nested = names[-1]
+        for name in reversed(names[:-1]):
+            nested = f"({op} {name} {nested})"
+        flat = f"({op} {' '.join(names)})"
+        for template in ("subsume {} B", "subsume B {}"):
+            deep = translate_kb(parse_dl(template.format(nested)))
+            assert deep == translate_kb(parse_dl(template.format(flat)))
+            assert len(deep.clauses) == (n + 1 if (op == "and") ==
+                                         template.endswith("{}") else 1)
+
+    def test_deep_unclosed_expression_is_a_parse_error(self):
+        n = self.DEPTH
+        with pytest.raises(ParseError, match="unexpected end of line"):
+            parse_dl("subsume " + "(not " * n + "A" + ")" * (n - 1))

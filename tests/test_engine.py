@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fourlqs import (EngineOptions, Literal, Member3, ResourceLimitError,
-                     apply_substitution, complement, parse_kb, saturate,
-                     substitution0, var0, var3)
+                     parse_kb, saturate, substitution0, var0, var3)
 from fourlqs.bench import gen_random_kb
 from fourlqs.core import Eq, Member1, PreconditionError, var1
 from fourlqs import engine as engine_module
 from fourlqs.engine import ModelBuilder, _normalize_eqs
-from fourlqs.oracle import extract_model, is_consistent, reference_saturate
+from fourlqs.oracle import (apply_substitution, complement, extract_model,
+                            is_consistent, reference_saturate)
 
 from conftest import CONTRADICTION_KB, DEEP_KB, ITALY_KB, MERGE_KB
 
@@ -941,6 +941,27 @@ class TestKegResume:
                 signatures.add((res.open_count, res.closed_count, s.rule_apps,
                                 s.pb_apps, s.peak_stack_depth))
         assert len(signatures) == 1 and s.pb_apps > 0
+
+    @pytest.mark.parametrize("name", sorted(RESUME_KBS))
+    def test_replayed_complement_child_matches_serial(self, name):
+        """A script of a two-worker partition replays its split prefix
+        from the root, so each complement child on that prefix is entered
+        with no stack entry and selects its job again.  Run over every
+        script and merged, the runs give the serial run's counts,
+        statistics and branches, for every engine."""
+        from fourlqs.engine import CompiledKb, _run
+        from fourlqs.parallel import _Merge, _scripts
+        comp = CompiledKb(parse_kb(RESUME_KBS[name]))
+        opts = EngineOptions()
+        for engine in ("keg", "ke", "foke"):
+            merge = _Merge(None)
+            for script in _scripts(2):
+                merge.add(_run(comp, opts, engine, script=script))
+            counts, stats, packed, limited = merge.result()
+            serial = _run(comp, opts, engine)
+            assert (counts, stats, sorted(packed), limited) == \
+                (serial[0], serial[1], sorted(serial[2]), serial[3]), engine
+            assert stats.pb_apps > 0, engine  # scripts from 1 replay a child
 
     def test_complement_child_builds_no_instance(self, forks, monkeypatch):
         """keg grounds each disjunct inside its scan and never calls

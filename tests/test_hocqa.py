@@ -278,11 +278,38 @@ class TestMatcherProperties:
             return real_search(plan, patterns, lits, out)
 
         monkeypatch.setattr(_Plan, "search", counting_search)
-        for text in ("(rel a ?x P)", "(in a ?c)", "(rel a b ?r)",
-                     "(rel a ?y P) (in ?y ?c)"):
+        # 3 and 82 distinct projections of the 850 branches; no branch
+        # holds a (rel a ...) literal, so the other two search nothing.
+        for text, searches in (("(rel a ?x P)", 0), ("(in a ?c)", 3),
+                               ("(rel a b ?r)", 0),
+                               ("(rel a ?y P) (in ?y ?c)", 82)):
             calls.clear()
             q = parse_query(text, kb)
             assert answer(q, result).keys() == brute_answers(kb, q)
-            # 1, 3, 1 and 82 distinct projections of the 850 branches.
-            assert 0 < len(calls) <= 850 // 8, text
+            assert len(calls) == searches, text
             assert len(set(calls)) == len(calls), text
+
+    def test_group_with_no_relevant_literal_is_not_searched(self,
+                                                            monkeypatch):
+        """A merge-map group none of whose literals matches a conjunct on
+        its own can bind nothing, so it is neither projected nor
+        searched; a query with no conjunct still binds once."""
+        family = parse_kb(gen_family(BenchConfig(individuals=3, clauses=1))
+                          + "lit (not (in a A))\n")
+        merged = parse_kb("ind a b\nlit (eq a b)\nlit (in a A)\n"
+                          "lit (not (in b B))\n")
+        cases = [(family, "(rel a ?x P)"), (family, "(rel a b ?r)"),
+                 (merged, "(in ?v B)"), (merged, "(in ?v B) (in a B)")]
+        expected = [brute_answers(kb, parse_query(text, kb))
+                    for kb, text in cases]
+        results = {id(kb): saturate(kb) for kb in (family, merged)}
+
+        def no_search(plan, patterns, lits, out):
+            raise AssertionError("searched a group with no relevant literal")
+
+        monkeypatch.setattr(_Plan, "search", no_search)
+        for (kb, text), want in zip(cases, expected):
+            got = answer(parse_query(text, kb), results[id(kb)])
+            assert got.answers == () and want == set(), text
+        with pytest.raises(AssertionError, match="no relevant literal"):
+            answer(parse_query("", merged), results[id(merged)])

@@ -63,8 +63,12 @@ whose first leaf is far away still stops on time.
 Internally literals are packed into integers: atom ids are assigned at
 compile time in a fixed order shared by all engines (so branch encodings
 are comparable), and the low bit carries polarity, making complement a
-single xor.  The explorer keeps one mutable branch (a set plus an
-insertion-order trail) and undoes to a saved trail length on backtrack.
+single xor.  The explorer keeps one mutable branch, an insertion-order
+trail plus a list of marks indexed by literal integer, and undoes to a
+saved trail length on backtrack, so every test of a literal against the
+branch is one list index.  ke and foke also keep the branch as a set,
+since they test a whole stored instance with one ``set.isdisjoint``
+call; keg keeps no set.
 """
 
 from __future__ import annotations
@@ -150,9 +154,9 @@ class CompiledKb:
     """
 
     __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "twok",
-                 "ground_lits", "clause_specs", "jobs", "_instances",
-                 "eq_pos", "neg_eq_diag", "eq_marked", "has_eq",
-                 "length_bound")
+                 "nmarks", "ground_lits", "clause_specs", "jobs",
+                 "_instances", "eq_pos", "neg_eq_diag", "eq_marked",
+                 "has_eq", "length_bound")
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
@@ -163,6 +167,11 @@ class CompiledKb:
         self.kk = self.k * self.k
         self.twok = 2 * self.k
         self.nsym = 1 + len(self.set1s) + len(self.set3s)
+        # The length of a list indexed by literal integer.  The largest
+        # literal is 6*nsym*k*k - 1 (kind 2, the last sym, a = b = k - 1,
+        # negated); the one slot past it is never set, so index -1 reads
+        # it and finds no literal there.
+        self.nmarks = 6 * self.nsym * self.kk + 1
         ind_ix = {v: i for i, v in enumerate(self.inds)}
         sym1_ix = {v: 1 + i for i, v in enumerate(self.set1s)}
         sym3_ix = {v: 1 + len(self.set1s) + i for i, v in enumerate(self.set3s)}
@@ -651,7 +660,7 @@ class ProbeExpired(Exception):
     deadline; what the run gathered until then is discarded."""
 
 
-def _keg_select(comp: CompiledKb, bset: set):
+def _keg_select(comp: CompiledKb, on: List[bool]):
     """keg's selection policy for one :func:`_run`: the first job at or
     after the cursor whose instance no branch literal discharges, and
     that instance's unresolved disjuncts.  The cursor witnesses that
@@ -659,12 +668,14 @@ def _keg_select(comp: CompiledKb, bset: set):
     branch.  The scan takes one pass per job: it grounds each disjunct
     with :meth:`CompiledKb.instantiate`'s arithmetic, stops at the first
     one on the branch, and otherwise keeps those whose complement is not
-    on it, in disjunct order.  It builds no instance.
+    on it, in disjunct order.  It builds no instance.  ``on`` is the
+    explorer's mark list, so each of those tests is one list index.
 
     ``watch[j]`` is the disjunct that last stopped job ``j``'s scan, or
-    -1.  It is a disjunct of job ``j``'s own instance, so while it is on
-    the branch the job is discharged and is passed over without being
-    ground; once backtracking has removed it, the job is ground again.
+    -1, which indexes ``on``'s last slot, never set.  It is a disjunct of
+    job ``j``'s own instance, so while it is on the branch the job is
+    discharged and is passed over without being ground; once backtracking
+    has removed it, the job is ground again.
     The watch list takes 8 bytes per job, plus the literal integers it
     keeps alive; it holds no instance.
 
@@ -681,7 +692,7 @@ def _keg_select(comp: CompiledKb, bset: set):
 
     def select(j):
         while j < njobs:
-            if watch[j] in bset:
+            if on[watch[j]]:
                 j += 1
                 continue
             specs, tau = jobs[j]
@@ -693,10 +704,10 @@ def _keg_select(comp: CompiledKb, bset: set):
                     lit += tau[ia] * twok
                 if ib >= 0:
                     lit += tau[ib] * 2
-                if lit in bset:
+                if on[lit]:
                     watch[j] = lit
                     break
-                if (lit ^ 1) not in bset:
+                if not on[lit ^ 1]:
                     missing.append(lit)
             else:
                 return j, missing
@@ -712,16 +723,21 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     """Depth-first saturation.  Returns raw counts, stats and collected
     branch encodings; wrapped by :func:`saturate` and :mod:`.parallel`.
 
-    One loop explores the tree for every engine.  At a split it enters
-    the fulfilling child and pushes the complement child on an explicit
-    stack as (trail length, equality count, resident count, literal,
-    cursor, depth, carried list); at a leaf it pops the next entry,
-    undoes the branch to the saved lengths and enters it.  An engine is
-    only its ``select`` policy: for the first instance (at or after keg's
-    cursor) that no branch literal discharges, its job index and its
-    unresolved disjuncts, those whose complement is not on the branch; or
-    ``None`` when every instance is discharged.  One unresolved disjunct
-    is eliminated, none closes the branch, and more split on the first.
+    One loop explores the tree for every engine.  The branch is the trail
+    ``order`` plus ``on``, a list of ``comp.nmarks`` marks indexed by
+    literal integer: adding a literal sets its mark, undoing pops the
+    trail and clears the mark.  A policy that ``reads_set`` (ke, foke)
+    also gets the branch as the set ``bset``, kept in step with the
+    marks.  At a split the loop enters the fulfilling child and pushes
+    the complement child on an explicit stack as (trail length, equality
+    count, resident count, literal, cursor, depth, carried list); at a
+    leaf it pops the next entry, undoes the branch to the saved lengths
+    and enters it.  An engine is only its ``select`` policy: for the
+    first instance (at or after keg's cursor) that no branch literal
+    discharges, its job index and its unresolved disjuncts, those whose
+    complement is not on the branch; or ``None`` when every instance is
+    discharged.  One unresolved disjunct is eliminated, none closes the
+    branch, and more split on the first.
 
     A policy that ``resumes`` (keg) has its split carry the complement
     child's unresolved list in the entry: the rest of the split's list
@@ -745,7 +761,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     jobs = comp.jobs
     njobs = len(jobs)
     instantiate = comp.instantiate
-    bset = set()
+    # The branch: the trail ``order`` in insertion order and ``on``, its
+    # marks indexed by literal integer.  ``bset`` mirrors them as a set
+    # for a policy that tests instances with ``set.isdisjoint``.
+    on = [False] * comp.nmarks
+    bset: Optional[set] = None
     order: List[int] = []
     eqlits: List[Tuple[int, int]] = []
     resident: List[Tuple[int, ...]] = []  # foke's parked instances
@@ -758,6 +778,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     length_bound = comp.length_bound
     merges = _MergeCache(comp) if has_eq else None
     by_eqs = merges.by_eqs if has_eq else None
+    # The equality phase's marks for one leaf's rewritten branch; every
+    # rewritten literal keeps its kind, sym and polarity and takes
+    # individuals below k, so it fits.
+    seen = [False] * comp.nmarks if has_eq else None
 
     # The loop's counters live in locals and reach ``stats`` when it
     # ends; foke's policy writes its own two fields.
@@ -797,19 +821,25 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # earlier job is discharged.  It resumes: a complement child's
     # unresolved list rides on its stack entry, and per job keg keeps the
     # literal that last discharged it, never a grounding (see
-    # _keg_select).  ke and foke keep their instances as branch formulae
+    # _keg_select).  It tests literals one at a time against ``on`` and
+    # keeps no set.  ke and foke keep their instances as branch formulae
     # and re-inspect them from the first at every step, a complement
     # child included, filtering the selected one against the branch
-    # again: the cost the fused rule avoids.  Their cursor is never read.
-    # foke parks the next job's instance on the branch when every
-    # resident is discharged, and residents pop on backtrack.
+    # again: the cost the fused rule avoids.  They test a whole instance
+    # with one ``bset.isdisjoint`` call, so they read the set: the loop
+    # keeps ``bset`` in step for a policy whose ``reads_set`` is on.
+    # Their cursor is never read.  foke parks the next job's instance on
+    # the branch when every resident is discharged, and residents pop on
+    # backtrack.
     stack: List[Tuple[int, int, int, int, int, int, Optional[List[int]]]] = []
     if engine == "keg":
-        select = _keg_select(comp, bset)
+        select = _keg_select(comp, on)
         resumes = True
+        reads_set = False
     elif engine == "ke":
         instances = comp.instances
         resumes = False
+        reads_set = True
 
         def select(j):
             for lits in instances:
@@ -818,6 +848,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             return None
     elif engine == "foke":
         resumes = False
+        reads_set = True
 
         def select(j):
             while True:
@@ -841,13 +872,15 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # trivial equality closes the single starting branch outright.
     root_closed = False
     for l in comp.ground_lits:
-        if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
+        if on[l ^ 1] or (has_eq and l in neg_eq_diag):
             root_closed = True
-        if l not in bset:
-            bset.add(l)
+        if not on[l]:
+            on[l] = True
             order.append(l)
             if has_eq and l in eq_pos:
                 eqlits.append(divmod(l >> 1, kdim))
+    if reads_set:
+        bset = set(order)
 
     limited = None
     leaf = True if root_closed else None  # True closed, False open
@@ -879,23 +912,26 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                 elif eqlits:
                     # The equality phase: rewrite the branch through its
                     # merge map and close it at the first complementary
-                    # pair or negated x=x.
+                    # pair or negated x=x.  ``seen`` marks exactly the
+                    # literals in ``rewritten``, so walking that list
+                    # clears it for the next leaf, after a close too.
                     key = tuple(eqlits)
                     sigma_items, table = by_eqs.get(key) or merges.add(key)
                     rewritten = []
-                    seen = set()
                     for l in order:
                         r = table[l]
-                        if r not in seen:
-                            if (r ^ 1) in seen or r in neg_eq_diag:
+                        if not seen[r]:
+                            if seen[r ^ 1] or r in neg_eq_diag:
                                 nclosed += 1
                                 break
-                            seen.add(r)
+                            seen[r] = True
                             rewritten.append(r)
                     else:
                         nopen += 1
                         if collect:
                             collected.append((tuple(rewritten), sigma_items))
+                    for r in rewritten:
+                        seen[r] = False
                 else:
                     nopen += 1
                     if collect:
@@ -903,8 +939,14 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             if not stack:
                 break
             so, se, sr, lit, j, depth, carried = stack.pop()
-            while len(order) > so:
-                bset.discard(order.pop())
+            if reads_set:
+                while len(order) > so:
+                    l = order.pop()
+                    on[l] = False
+                    bset.discard(l)
+            else:
+                while len(order) > so:
+                    on[order.pop()] = False
             del eqlits[se:]
             del resident[sr:]
             leaf = None
@@ -918,7 +960,9 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     leaf = True
                     continue
                 eqlits.append(divmod(lit >> 1, kdim))
-            bset.add(lit)
+            on[lit] = True
+            if reads_set:
+                bset.add(lit)
             order.append(lit)
             lit = -1
             if depth > peak_depth:

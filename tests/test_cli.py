@@ -1,10 +1,20 @@
 """Command-line surface: exit codes, output determinism."""
 
+import contextlib
+import io
 import json
+import os
+import random
+import re
+import tempfile
+from typing import Tuple
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from fourlqs import cli
+from fourlqs.bench import gen_random_kb
 from fourlqs.cli import main
 
 from conftest import CONTRADICTION_KB, DEEP_KB, ITALY_DL, ITALY_KB
@@ -323,3 +333,110 @@ class TestBench:
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+# A small ontology for ``translate``, in the shape perfbench's
+# ontology-query translates: functional and irreflexive roles, some/all.
+_FUZZ_DL = ("fun R\nirref S\nsome R A B\nall B S A\nrole a b R\n"
+            "role b c S\nassert c A\nassert a B\n")
+_MUTATIONS = ("truncate", "swap", "drop", "nest")
+_DEPTHS = (1, 2, 40, 1500)
+# Limits a run can honour, and at most one value per run that is a usage
+# error.  At most two workers: each one is a forked process.
+_LIMIT_VALUES = {
+    "--max-branches": (None, "0", "1", "7", str(10 ** 30)),
+    "--max-seconds": (None, "0", "1e-9", "5", "inf"),
+    "--workers": (None, "1", "2"),
+}
+_ODD_LIMITS = (("--max-branches", "-1"), ("--max-branches", "1e3"),
+               ("--max-branches", "x"), ("--max-seconds", "-1"),
+               ("--max-seconds", "nan"), ("--max-seconds", "x"),
+               ("--workers", "0"), ("--workers", "-2"), ("--workers", "x"))
+_THREAD_CAPS = ("", "1", "2", "64", "0", "-1", "abc")
+
+
+def _fuzz_mutant(text: str, how: str, at: int, other: int, depth: int,
+                 line: Tuple[str, str, str]) -> str:
+    """``text`` as it is, truncated, with two tokens swapped or one
+    dropped, or with the line ``head atom tail`` appended, its atom under
+    ``depth`` nested ``not``s."""
+    if how == "none":
+        return text
+    if how == "truncate":
+        return text[:at % (len(text) + 1)]
+    if how == "nest":
+        head, atom, tail = line
+        return text + head + "(not " * depth + atom + ")" * depth + tail
+    toks = re.findall(r"\n|\(|\)|[^\s()]+", text)
+    i, j = at % len(toks), other % len(toks)
+    if how == "swap":
+        toks[i], toks[j] = toks[j], toks[i]
+    else:
+        del toks[i]
+    return " ".join(toks)
+
+
+class TestMainFuzz:
+    """``cli.main`` on random KBs, equality included, and mutants of them
+    and of a DL ontology, with odd limit and worker-cap values, for
+    ``check``, ``models``, ``query`` and ``translate``: only the
+    documented exit codes 0-3 come back, never 4 (an internal error such
+    as an ``IndexError`` from a literal outside the explorer's mark list),
+    and no traceback is printed.  Every choice but the command is drawn
+    from the seed: a run mutates its input, adds a usage error or caps
+    the workers with odds of 1 in 5 each."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           command=st.sampled_from(("check", "models", "task", "q",
+                                    "translate")))
+    def test_exit_codes(self, seed, command):
+        rng = random.Random(seed)
+
+        def odd(values):
+            return rng.choice(values) if rng.random() < 0.2 else None
+
+        how = odd(_MUTATIONS) or "none"
+        at, other = rng.randrange(10 ** 4), rng.randrange(10 ** 4)
+        depth = rng.choice(_DEPTHS)
+        if command == "translate":
+            text = _fuzz_mutant(_FUZZ_DL, how, at, other, depth,
+                                ("subsume ", "A", " B\n"))
+        else:
+            text = _fuzz_mutant(gen_random_kb(rng), how, at, other, depth,
+                                ("lit ", "(in a A)", "\n"))
+        task = rng.choice((["A", "a", "R"], ["B", "a"], ["C", "a", "b"],
+                           ["B"], ["E", "a"]))
+        limits = {flag: rng.choice(values)
+                  for flag, values in _LIMIT_VALUES.items()}
+        bad = odd(_ODD_LIMITS)
+        if bad:
+            limits[bad[0]] = bad[1]
+        cap = odd(_THREAD_CAPS)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input")
+            with open(path, "w") as f:
+                f.write(text)
+            qpath = os.path.join(tmp, "q.query")
+            with open(qpath, "w") as f:
+                conjuncts = rng.choice((1, 3, 1000))
+                f.write(" ".join(["(in ?x A)"] * conjuncts) + "\n")
+            argv = {"check": ["check", path], "models": ["models", path],
+                    "task": ["query", path, "--task", *task, "--json"],
+                    "q": ["query", path, "--q", qpath],
+                    "translate": ["translate", path]}[command]
+            if command != "translate":
+                for flag, value in limits.items():
+                    if value is not None:
+                        argv += [flag, value]
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ), \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                os.environ.pop("REASONER_THREADS", None)
+                if cap is not None:
+                    os.environ["REASONER_THREADS"] = cap
+                code = main(argv)
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue(), (argv, text)

@@ -895,7 +895,10 @@ class TestModelBuilder:
 # another disjunct in between.  In ``stale-watch`` (in b A) discharges
 # the second clause's job at b in the fulfilling subtree, and the
 # complement child, which holds (not (in b A)), must ground that job
-# again rather than trust the literal keg last watched it with.
+# again rather than trust the literal keg last watched it with.  In
+# ``top-literal`` the ground literal is 95, the largest the encoding gives
+# (6*nsym*k*k - 1 with nsym = 4 and k = 2): the explorer's mark list must
+# hold it, and a job's first watch, -1, must not read its mark.
 RESUME_KBS = {
     "tautologous": "ind a b\nlit (in b B)\n"
                    "clause (forall z z1) (or (in z A) (not (in z1 A)) (in z B))\n",
@@ -919,6 +922,8 @@ RESUME_KBS = {
     "stale-watch": "ind a b\n"
                    "clause (forall z) (or (in z A) (in z B))\n"
                    "clause (forall z) (or (in z A) (in z C))\n",
+    "top-literal": "ind a b\nlit (not (rel b b S))\n"
+                   "clause (forall z) (or (in z A) (in z B))\n",
 }
 
 

@@ -63,12 +63,14 @@ whose first leaf is far away still stops on time.
 Internally literals are packed into integers: atom ids are assigned at
 compile time in a fixed order shared by all engines (so branch encodings
 are comparable), and the low bit carries polarity, making complement a
-single xor.  The explorer keeps one mutable branch, an insertion-order
-trail plus a list of marks indexed by literal integer, and undoes to a
-saved trail length on backtrack, so every test of a literal against the
-branch is one list index.  ke and foke also keep the branch as a set,
-since they test a whole stored instance with one ``set.isdisjoint``
-call; keg keeps no set.
+single xor.  A symbol takes only the k or k*k keys its atoms can use,
+so the literals of a KB are dense from 0.  The explorer keeps one
+mutable branch, an insertion-order trail plus one membership structure,
+and undoes to a saved trail length on backtrack.  keg tests literals one
+at a time, so its branch is a list of flags indexed by literal integer
+(a dict of the marked ones past ``MARKS_CAP`` literals) and each test is
+one index; ke and foke test a whole stored instance with one
+``set.isdisjoint`` call, so theirs is a set.
 """
 
 from __future__ import annotations
@@ -143,20 +145,36 @@ class EngineStats:
 class CompiledKb:
     """Integer encoding of a knowledge base, shared by all engines.
 
-    A literal is the integer ``2 * (((kind*nsym + sym)*k + a)*k + b) + neg``
-    with ``kind`` the atom shape, ``sym`` the set symbol (0 for equality),
-    ``a``/``b`` individual positions in ``var0_order`` and ``neg`` the
-    polarity bit.  The encoding is pure arithmetic both ways; grounding a
-    disjunct under an instantiation tuple costs a couple of integer
-    operations and no allocation beyond the literal itself, and the
-    complement is one xor.  All engines speak the same integers, so their
-    branch encodings are directly comparable.
+    A literal is the integer ``4 * key + neg``, with ``neg`` the polarity
+    bit and ``key`` dense over the atoms the KB's symbols can form, ``a``
+    and ``b`` being individual positions in ``var0_order``, ``n1`` and
+    ``n3`` the numbers of set1 and set3 symbols:
+
+    * ``a = b``: ``a*k + b``;
+    * membership ``a in`` the ``u``-th set1 symbol: ``base1 + u*k + a``;
+    * the ``v``-th set3 symbol holding ``(a, b)``: ``base3 + (v*k + a)*k
+      + b``, where ``base3 = base1 + n1*k``.
+
+    ``base1`` is ``k*k`` when the KB mentions equality and 0 otherwise;
+    a KB without equality puts ``a = b`` past its last key instead,
+    where a query may still name it but no branch holds it.  A symbol
+    thus takes k or k*k keys, the symbol fixes the atom's kind, and keys
+    follow (kind, symbol, a, b) order, which is the order branches are
+    sorted in.  Bit 1 is always clear: a set of literals that is filled
+    and emptied many times over, like ke's and foke's branch, otherwise
+    leaves its hash table with long runs of used slots, which every
+    missed lookup walks.  The encoding is pure arithmetic both ways;
+    grounding a disjunct under an instantiation tuple costs a couple of
+    integer operations and no allocation beyond the literal itself, and
+    the complement is one xor.  All engines speak the same integers, so
+    their branch encodings are directly comparable.
     """
 
-    __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "twok",
-                 "nmarks", "ground_lits", "clause_specs", "jobs",
-                 "_instances", "eq_pos", "neg_eq_diag", "eq_marked",
-                 "has_eq", "length_bound")
+    __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "astep",
+                 "n1", "base1", "base3", "nkeys", "baseq", "symkey", "nmarks",
+                 "ground_lits", "clause_specs", "jobs", "_instances",
+                 "eq_pos", "neg_eq_diag", "eq_marked", "has_eq",
+                 "length_bound")
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
@@ -165,13 +183,21 @@ class CompiledKb:
         self.set3s = list(kb.var3_order)
         self.k = max(len(self.inds), 1)
         self.kk = self.k * self.k
-        self.twok = 2 * self.k
-        self.nsym = 1 + len(self.set1s) + len(self.set3s)
+        self.astep = 4 * self.k
+        self.n1 = len(self.set1s)
+        self.nsym = 1 + self.n1 + len(self.set3s)
+        self.has_eq = self._mentions_equality(kb)
+        self.base1 = self.kk if self.has_eq else 0
+        self.base3 = self.base1 + self.n1 * self.k
+        self.nkeys = self.base3 + len(self.set3s) * self.kk
+        self.baseq = 0 if self.has_eq else self.nkeys
+        # symkey[sym] is the symbol's first key.
+        self.symkey = [self.baseq, *range(self.base1, self.base3, self.k),
+                       *range(self.base3, self.nkeys, self.kk)]
         # The length of a list indexed by literal integer.  The largest
-        # literal is 6*nsym*k*k - 1 (kind 2, the last sym, a = b = k - 1,
-        # negated); the one slot past it is never set, so index -1 reads
-        # it and finds no literal there.
-        self.nmarks = 6 * self.nsym * self.kk + 1
+        # literal a branch can hold is 4*nkeys - 3; the one slot past it
+        # is never set, so index -1 reads it and finds no literal there.
+        self.nmarks = 4 * self.nkeys - 1
         ind_ix = {v: i for i, v in enumerate(self.inds)}
         sym1_ix = {v: 1 + i for i, v in enumerate(self.set1s)}
         sym3_ix = {v: 1 + len(self.set1s) + i for i, v in enumerate(self.set3s)}
@@ -180,8 +206,9 @@ class CompiledKb:
                             for lit in kb.literals]
 
         # A disjunct spec is (const, ia, ib): the literal is const plus
-        # 2k*tau[ia] plus 2*tau[ib]; a slot holding a free individual is
+        # 4k*tau[ia] plus 4*tau[ib]; a slot holding a free individual is
         # folded into const and flagged with index -1.
+        symkey = self.symkey
         self.clause_specs = []
         for cl in kb.clauses:
             bound_ix = {z: i for i, z in enumerate(cl.quantified)}
@@ -189,24 +216,26 @@ class CompiledKb:
             for d in cl.disjuncts:
                 neg = 0 if d.positive else 1
                 a = d.atom
+                # A membership's individual takes the second slot, which
+                # steps by 4 like the last individual of a pair.
                 if isinstance(a, Eq):
-                    kind, sym, va, vb = KIND_EQ, 0, a.left, a.right
+                    sym, va, vb = 0, a.left, a.right
                 elif isinstance(a, Member1):
-                    kind, sym, va, vb = KIND_IN1, sym1_ix[a.set1], a.elem, None
+                    sym, va, vb = sym1_ix[a.set1], None, a.elem
                 else:
-                    kind, sym, va, vb = (KIND_IN3, sym3_ix[a.set3],
-                                         a.first, a.second)
-                const = (kind * self.nsym + sym) * self.kk * 2 + neg
+                    sym, va, vb = sym3_ix[a.set3], a.first, a.second
+                const = symkey[sym] * 4 + neg
                 ia = ib = -1
-                if va.quantified:
-                    ia = bound_ix[va]
-                else:
-                    const += ind_ix[va] * self.twok
+                if va is not None:
+                    if va.quantified:
+                        ia = bound_ix[va]
+                    else:
+                        const += ind_ix[va] * self.astep
                 if vb is not None:
                     if vb.quantified:
                         ib = bound_ix[vb]
                     else:
-                        const += ind_ix[vb] * 2
+                        const += ind_ix[vb] * 4
                 specs.append((const, ia, ib))
             self.clause_specs.append((len(cl.quantified), tuple(specs)))
 
@@ -218,13 +247,12 @@ class CompiledKb:
             for tau in itertools.product(range(nind), repeat=m)]
         self._instances: Optional[List[Tuple[int, ...]]] = None
 
-        self.has_eq = self._mentions_equality(kb)
         if self.has_eq:
             self.eq_pos = frozenset(
-                (a * self.k + b) * 2
+                (a * self.k + b) * 4
                 for a in range(nind) for b in range(nind) if a != b)
             self.neg_eq_diag = frozenset(
-                (a * self.k + a) * 2 + 1 for a in range(nind))
+                (a * self.k + a) * 4 + 1 for a in range(nind))
         else:
             self.eq_pos = frozenset()
             self.neg_eq_diag = frozenset()
@@ -269,29 +297,37 @@ class CompiledKb:
 
     def pack(self, kind: int, sym: int, a: int, b: int, neg: int) -> int:
         """The literal integer of ``(kind, sym, a, b)`` with polarity bit
-        ``neg``; :meth:`fields` is its inverse."""
-        return (((kind * self.nsym + sym) * self.k + a) * self.k + b) * 2 + neg
+        ``neg`` (``b`` is 0 for a membership); :meth:`fields` is its
+        inverse."""
+        if kind == KIND_IN1:
+            return (self.symkey[sym] + a) * 4 + neg
+        return (self.symkey[sym] + a * self.k + b) * 4 + neg
 
     def instantiate(self, specs, tau) -> List[int]:
         """Ground one clause body under one instantiation tuple."""
-        twok = self.twok
+        astep = self.astep
         out = []
         for const, ia, ib in specs:
             v = const
             if ia >= 0:
-                v += tau[ia] * twok
+                v += tau[ia] * astep
             if ib >= 0:
-                v += tau[ib] * 2
+                v += tau[ib] * 4
             out.append(v)
         return out
 
     def fields(self, lit_int: int) -> Tuple[int, int, int, int]:
         """(kind, sym, a, b) of a literal integer."""
-        key = lit_int >> 1
-        key, b = divmod(key, self.k)
-        key, a = divmod(key, self.k)
-        kind, sym = divmod(key, self.nsym)
-        return kind, sym, a, b
+        key = lit_int >> 2
+        if self.base1 <= key < self.base3:
+            sym, a = divmod(key - self.base1, self.k)
+            return KIND_IN1, 1 + sym, a, 0
+        if self.base3 <= key < self.nkeys:
+            key, b = divmod(key - self.base3, self.k)
+            sym, a = divmod(key, self.k)
+            return KIND_IN3, 1 + self.n1 + sym, a, b
+        a, b = divmod(key - self.baseq, self.k)
+        return KIND_EQ, 0, a, b
 
     def decode(self, lit_int: int) -> Literal:
         kind, sym, a, b = self.fields(lit_int)
@@ -315,8 +351,7 @@ class CompiledKb:
         b2 = sigma.get(b, b) if kind != KIND_IN1 else b
         if a2 == a and b2 == b:
             return lit_int
-        return (((kind * self.nsym + sym) * self.k + a2) * self.k + b2) * 2 \
-            + (lit_int & 1)
+        return self.pack(kind, sym, a2, b2, lit_int & 1)
 
 
 class Branch:
@@ -459,10 +494,14 @@ class ModelBuilder:
                 merged = []
                 for const, ia, ib in specs:
                     kind, sym, a, b = comp.fields(const)
-                    if ia < 0:
-                        a = sigma_map.get(a, a)
-                    if ib < 0 and kind != KIND_IN1:
-                        b = sigma_map.get(b, b)
+                    if kind == KIND_IN1:  # its individual is the 2nd slot
+                        if ib < 0:
+                            a = sigma_map.get(a, a)
+                    else:
+                        if ia < 0:
+                            a = sigma_map.get(a, a)
+                        if ib < 0:
+                            b = sigma_map.get(b, b)
                     merged.append((comp.pack(kind, sym, a, b, const & 1),
                                    ia, ib))
             for tau in itertools.product(canon, repeat=m):
@@ -602,6 +641,29 @@ def _normalize_eqs(pairs: List[Tuple[int, int]]) -> Dict[int, int]:
 # with its tree.
 EQ_CACHE_CAP = 1 << 16
 
+# The most flags a run keeps in a list indexed by literal integer (8 MB
+# of list).  A KB with a larger literal space -- a relation, or equality,
+# takes k*k keys -- gets _SparseMarks instead, whose memory grows only
+# with the literals that were ever marked.
+MARKS_CAP = 1 << 20
+
+
+class _SparseMarks(dict):
+    """Flags indexed by literal integer for a literal space too large for
+    a list: a literal never marked reads False."""
+
+    __slots__ = ()
+
+    def __missing__(self, lit_int: int) -> bool:
+        return False
+
+
+def _marks(comp: "CompiledKb"):
+    """All-clear flags for every literal integer of ``comp``, and index -1."""
+    if comp.nmarks <= MARKS_CAP:
+        return [False] * comp.nmarks
+    return _SparseMarks()
+
 
 class _RewriteTable(dict):
     """Literal integer -> its image under one merge map, filled on first
@@ -660,7 +722,7 @@ class ProbeExpired(Exception):
     deadline; what the run gathered until then is discarded."""
 
 
-def _keg_select(comp: CompiledKb, on: List[bool]):
+def _keg_select(comp: CompiledKb, on):
     """keg's selection policy for one :func:`_run`: the first job at or
     after the cursor whose instance no branch literal discharges, and
     that instance's unresolved disjuncts.  The cursor witnesses that
@@ -669,14 +731,14 @@ def _keg_select(comp: CompiledKb, on: List[bool]):
     with :meth:`CompiledKb.instantiate`'s arithmetic, stops at the first
     one on the branch, and otherwise keeps those whose complement is not
     on it, in disjunct order.  It builds no instance.  ``on`` is the
-    explorer's mark list, so each of those tests is one list index.
+    explorer's flags (see :func:`_marks`), so each of those tests is one
+    index.
 
     ``watch[j]`` is the disjunct that last stopped job ``j``'s scan, or
-    -1, which indexes ``on``'s last slot, never set.  It is a disjunct of
-    job ``j``'s own instance, so while it is on the branch the job is
-    discharged and is passed over without being ground; once backtracking
-    has removed it, the job is ground again.
-    The watch list takes 8 bytes per job, plus the literal integers it
+    -1, whose flag is never set.  It is a disjunct of job ``j``'s own
+    instance, so while it is on the branch the job is discharged and is
+    passed over without being ground; once backtracking has removed it,
+    the job is ground again.  The watch list takes 8 bytes per job, plus the literal integers it
     keeps alive; it holds no instance.
 
     A complement child whose split carried its list on the stack entry
@@ -687,7 +749,7 @@ def _keg_select(comp: CompiledKb, on: List[bool]):
     """
     jobs = comp.jobs
     njobs = len(jobs)
-    twok = comp.twok
+    astep = comp.astep
     watch = [-1] * njobs
 
     def select(j):
@@ -701,9 +763,9 @@ def _keg_select(comp: CompiledKb, on: List[bool]):
             missing = []
             for lit, ia, ib in specs:
                 if ia >= 0:
-                    lit += tau[ia] * twok
+                    lit += tau[ia] * astep
                 if ib >= 0:
-                    lit += tau[ib] * 2
+                    lit += tau[ib] * 4
                 if on[lit]:
                     watch[j] = lit
                     break
@@ -724,20 +786,21 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     branch encodings; wrapped by :func:`saturate` and :mod:`.parallel`.
 
     One loop explores the tree for every engine.  The branch is the trail
-    ``order`` plus ``on``, a list of ``comp.nmarks`` marks indexed by
-    literal integer: adding a literal sets its mark, undoing pops the
-    trail and clears the mark.  A policy that ``reads_set`` (ke, foke)
-    also gets the branch as the set ``bset``, kept in step with the
-    marks.  At a split the loop enters the fulfilling child and pushes
-    the complement child on an explicit stack as (trail length, equality
-    count, resident count, literal, cursor, depth, carried list); at a
-    leaf it pops the next entry, undoes the branch to the saved lengths
-    and enters it.  An engine is only its ``select`` policy: for the
-    first instance (at or after keg's cursor) that no branch literal
-    discharges, its job index and its unresolved disjuncts, those whose
-    complement is not on the branch; or ``None`` when every instance is
-    discharged.  One unresolved disjunct is eliminated, none closes the
-    branch, and more split on the first.
+    ``order`` plus one membership structure, chosen by the policy: for
+    one that ``marks`` (keg), ``on``, flags indexed by literal integer
+    (see :func:`_marks`); otherwise the set ``bset``.  Adding a
+    literal appends it to the trail and sets its flag or adds it to the
+    set; undoing pops the trail and clears it.  At a split the loop
+    enters the fulfilling child and pushes the complement child on an
+    explicit stack as (trail length, equality count, resident count,
+    literal, cursor, depth, carried list); at a leaf it pops the next
+    entry, undoes the branch to the saved lengths and enters it.  An
+    engine is only its ``select`` policy: for the first instance (at or
+    after keg's cursor) that no branch literal discharges, its job index
+    and its unresolved disjuncts, those whose complement is not on the
+    branch; or ``None`` when every instance is discharged.  One
+    unresolved disjunct is eliminated, none closes the branch, and more
+    split on the first.
 
     A policy that ``resumes`` (keg) has its split carry the complement
     child's unresolved list in the entry: the rest of the split's list
@@ -761,10 +824,9 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     jobs = comp.jobs
     njobs = len(jobs)
     instantiate = comp.instantiate
-    # The branch: the trail ``order`` in insertion order and ``on``, its
-    # marks indexed by literal integer.  ``bset`` mirrors them as a set
-    # for a policy that tests instances with ``set.isdisjoint``.
-    on = [False] * comp.nmarks
+    # The branch: the trail ``order`` in insertion order, plus keg's
+    # marks ``on`` or ke's and foke's set ``bset`` (see the policies).
+    on = None
     bset: Optional[set] = None
     order: List[int] = []
     eqlits: List[Tuple[int, int]] = []
@@ -778,10 +840,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     length_bound = comp.length_bound
     merges = _MergeCache(comp) if has_eq else None
     by_eqs = merges.by_eqs if has_eq else None
-    # The equality phase's marks for one leaf's rewritten branch; every
-    # rewritten literal keeps its kind, sym and polarity and takes
-    # individuals below k, so it fits.
-    seen = [False] * comp.nmarks if has_eq else None
+    # The equality phase's marks for one leaf's rewritten branch, made at
+    # the first such leaf; every rewritten literal keeps its symbol and
+    # polarity and takes individuals below k, so it fits.
+    seen = None
 
     # The loop's counters live in locals and reach ``stats`` when it
     # ends; foke's policy writes its own two fields.
@@ -821,25 +883,26 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # earlier job is discharged.  It resumes: a complement child's
     # unresolved list rides on its stack entry, and per job keg keeps the
     # literal that last discharged it, never a grounding (see
-    # _keg_select).  It tests literals one at a time against ``on`` and
-    # keeps no set.  ke and foke keep their instances as branch formulae
-    # and re-inspect them from the first at every step, a complement
-    # child included, filtering the selected one against the branch
-    # again: the cost the fused rule avoids.  They test a whole instance
-    # with one ``bset.isdisjoint`` call, so they read the set: the loop
-    # keeps ``bset`` in step for a policy whose ``reads_set`` is on.
-    # Their cursor is never read.  foke parks the next job's instance on
-    # the branch when every resident is discharged, and residents pop on
-    # backtrack.
+    # _keg_select).  It tests literals one at a time, so it ``marks``
+    # the branch in ``on``, flags indexed by literal integer (a list of
+    # ``comp.nmarks``, or _SparseMarks past MARKS_CAP), and keeps no set.  ke and foke keep their
+    # instances as branch formulae and re-inspect them from the first at
+    # every step, a complement child included, filtering the selected one
+    # against the branch again: the cost the fused rule avoids.  They test
+    # a whole instance with one ``set.isdisjoint`` call, so the branch is
+    # the set ``bset`` for them.  Their cursor is never read.  foke parks
+    # the next job's instance on the branch when every resident is
+    # discharged, and residents pop on backtrack.
     stack: List[Tuple[int, int, int, int, int, int, Optional[List[int]]]] = []
     if engine == "keg":
+        on = _marks(comp)
         select = _keg_select(comp, on)
         resumes = True
-        reads_set = False
+        marks = True
     elif engine == "ke":
         instances = comp.instances
         resumes = False
-        reads_set = True
+        marks = False
 
         def select(j):
             for lits in instances:
@@ -848,7 +911,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             return None
     elif engine == "foke":
         resumes = False
-        reads_set = True
+        marks = False
 
         def select(j):
             while True:
@@ -871,16 +934,19 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # Root: the ground conjuncts.  A contradictory pair or a negated
     # trivial equality closes the single starting branch outright.
     root_closed = False
+    bset = set()
     for l in comp.ground_lits:
-        if on[l ^ 1] or (has_eq and l in neg_eq_diag):
+        if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
             root_closed = True
-        if not on[l]:
-            on[l] = True
+        if l not in bset:
+            bset.add(l)
             order.append(l)
             if has_eq and l in eq_pos:
-                eqlits.append(divmod(l >> 1, kdim))
-    if reads_set:
-        bset = set(order)
+                eqlits.append(divmod(l >> 2, kdim))
+    if marks:  # keg moves the root branch onto its flags
+        for l in order:
+            on[l] = True
+        bset = None
 
     limited = None
     leaf = True if root_closed else None  # True closed, False open
@@ -917,6 +983,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     # clears it for the next leaf, after a close too.
                     key = tuple(eqlits)
                     sigma_items, table = by_eqs.get(key) or merges.add(key)
+                    if seen is None:
+                        seen = _marks(comp)
                     rewritten = []
                     for l in order:
                         r = table[l]
@@ -939,14 +1007,12 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             if not stack:
                 break
             so, se, sr, lit, j, depth, carried = stack.pop()
-            if reads_set:
-                while len(order) > so:
-                    l = order.pop()
-                    on[l] = False
-                    bset.discard(l)
-            else:
+            if marks:
                 while len(order) > so:
                     on[order.pop()] = False
+            else:
+                while len(order) > so:
+                    bset.discard(order.pop())
             del eqlits[se:]
             del resident[sr:]
             leaf = None
@@ -959,9 +1025,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                 if lit & 1:
                     leaf = True
                     continue
-                eqlits.append(divmod(lit >> 1, kdim))
-            on[lit] = True
-            if reads_set:
+                eqlits.append(divmod(lit >> 2, kdim))
+            if marks:
+                on[lit] = True
+            else:
                 bset.add(lit)
             order.append(lit)
             lit = -1

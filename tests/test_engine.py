@@ -896,9 +896,10 @@ class TestModelBuilder:
 # the second clause's job at b in the fulfilling subtree, and the
 # complement child, which holds (not (in b A)), must ground that job
 # again rather than trust the literal keg last watched it with.  In
-# ``top-literal`` the ground literal is 95, the largest the encoding gives
-# (6*nsym*k*k - 1 with nsym = 4 and k = 2): the explorer's mark list must
-# hold it, and a job's first watch, -1, must not read its mark.
+# ``top-literal`` the ground literal is 29, the largest the encoding gives
+# (4*nkeys - 3, with nkeys = 2*k + k*k = 8 keys for two set1 symbols and
+# one set3 symbol at k = 2): the explorer's mark list must hold it, and a
+# job's first watch, -1, must not read its mark.
 RESUME_KBS = {
     "tautologous": "ind a b\nlit (in b B)\n"
                    "clause (forall z z1) (or (in z A) (not (in z1 A)) (in z B))\n",
@@ -925,6 +926,39 @@ RESUME_KBS = {
     "top-literal": "ind a b\nlit (not (rel b b S))\n"
                    "clause (forall z) (or (in z A) (in z B))\n",
 }
+
+
+class TestSparseMarks:
+    def test_sparse_marks_match_list(self, monkeypatch):
+        """A KB whose literal space is over ``MARKS_CAP`` has keg mark its
+        branch, and the equality phase each rewritten branch, in a dict
+        rather than a list; every engine's counts, statistics and
+        branches stay those the list gives, serially and with two
+        workers."""
+        texts = list(RESUME_KBS.values()) + [MERGE_KB, ITALY_KB]
+        for i in range(40):
+            texts.append(gen_random_kb(random.Random(f"sparse-marks:{i}")))
+        kbs = [parse_kb(t) for t in texts]
+        assert sum(engine_module.CompiledKb(kb).has_eq for kb in kbs) >= 10
+
+        def runs():
+            out = []
+            for kb in kbs:
+                for engine in ("keg", "ke", "foke"):
+                    res = saturate(kb, EngineOptions(), engine=engine)
+                    res.stats.wall_seconds = 0.0
+                    out.append((res.open_count, res.closed_count,
+                                res.stats, res.packed))
+                res = saturate(kb, EngineOptions(workers=2))
+                res.stats.wall_seconds = 0.0
+                out.append((res.open_count, res.stats, res.packed))
+            return out
+
+        listed = runs()
+        monkeypatch.setattr(engine_module, "MARKS_CAP", 0)
+        comp = engine_module.CompiledKb(kbs[0])
+        assert isinstance(engine_module._marks(comp), engine_module._SparseMarks)
+        assert runs() == listed
 
 
 class TestKegResume:

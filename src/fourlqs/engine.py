@@ -54,7 +54,14 @@ complementary pair or negated x=x.  Many leaves share an equality
 sequence, so one run memoises, per sequence, the merge map and one
 rewrite table per distinct map (literal integer to rewritten integer,
 filled on first use).  The caches exist only for KBs that mention
-equality and are cleared when they reach ``EQ_CACHE_CAP`` entries.
+equality and are cleared when they reach ``EQ_CACHE_CAP`` entries.  The
+phase resumes from the last merged leaf that used the same rewrite table,
+as a DPLL(T) theory solver keeps its state on the trail: the trail below
+the lowest length popped to since that leaf is unchanged, so its rewrite
+is kept and only the rest is walked, and a leaf whose last closing
+literal lies in that prefix closes without a walk.  A different table,
+including a fresh one after the caches were cleared, walks from the
+start.
 
 ``max_seconds`` is a deadline taken when :func:`saturate` starts, before
 the KB is compiled, and read at every split and every leaf, so a tree
@@ -816,6 +823,18 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     so a partitioned parallel run counts every node exactly once.  A
     replayed complement child has no entry and selects.
 
+    A complete branch with an equality goes through the equality phase.
+    It keeps the last merged leaf's rewrite of the trail, with the
+    rewrite's length before each trail position, and a pop lowers
+    ``low``, the trail length below which nothing changed since that
+    leaf.  When
+    the next merged leaf's rewrite table is the same object, the phase
+    keeps the rewrite of the first ``low`` positions and walks on from
+    there, or counts the leaf closed at once when the last leaf closed
+    below ``low``; otherwise it walks the whole trail.  Either way the
+    rewritten literals come out in first-occurrence order, as a walk
+    from the start gives them.
+
     ``deadline`` is the absolute ``perf_counter`` reading at which
     ``opts.max_seconds`` runs out; every split and every counted leaf
     reads it.  ``probe``, also absolute, is read at the same points and
@@ -840,10 +859,22 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     length_bound = comp.length_bound
     merges = _MergeCache(comp) if has_eq else None
     by_eqs = merges.by_eqs if has_eq else None
-    # The equality phase's marks for one leaf's rewritten branch, made at
-    # the first such leaf; every rewritten literal keeps its symbol and
-    # polarity and takes individuals below k, so it fits.
+    # The equality phase's state, kept from one merged leaf to the next.
+    # ``rewritten`` is the last phase's rewrite of the trail through
+    # ``prev_table``, in first-occurrence order, and ``seen`` marks
+    # exactly its literals; ``seen`` is made at the first merged leaf, and
+    # every rewritten literal keeps its symbol and polarity and takes
+    # individuals below k, so it fits.  ``rpos[i]`` is the length
+    # ``rewritten`` had before trail position i was walked, so the walk
+    # covered the first ``len(rpos) - 1`` positions.  ``closed_at`` is the
+    # position whose literal closed the last merged leaf, or -1, and
+    # ``low`` the lowest trail length popped to since that leaf.
     seen = None
+    prev_table = None
+    rewritten: List[int] = []
+    rpos = [0]
+    closed_at = -1
+    low = 0
 
     # The loop's counters live in locals and reach ``stats`` when it
     # ends; foke's policy writes its own two fields.
@@ -978,28 +1009,43 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                 elif eqlits:
                     # The equality phase: rewrite the branch through its
                     # merge map and close it at the first complementary
-                    # pair or negated x=x.  ``seen`` marks exactly the
-                    # literals in ``rewritten``, so walking that list
-                    # clears it for the next leaf, after a close too.
+                    # pair or negated x=x.  With the last merged leaf's
+                    # table, the trail below ``low`` is unchanged, so its
+                    # rewrite is kept and the walk resumes there; a new
+                    # table walks from 0.
                     key = tuple(eqlits)
                     sigma_items, table = by_eqs.get(key) or merges.add(key)
-                    if seen is None:
-                        seen = _marks(comp)
-                    rewritten = []
-                    for l in order:
-                        r = table[l]
-                        if not seen[r]:
-                            if seen[r ^ 1] or r in neg_eq_diag:
-                                nclosed += 1
-                                break
-                            seen[r] = True
-                            rewritten.append(r)
+                    if table is not prev_table:
+                        prev_table = table
+                        low = 0
+                        if seen is None:
+                            seen = _marks(comp)
+                    if 0 <= closed_at < low:
+                        # The same closing pair, rewritten the same way.
+                        nclosed += 1
                     else:
-                        nopen += 1
-                        if collect:
-                            collected.append((tuple(rewritten), sigma_items))
-                    for r in rewritten:
-                        seen[r] = False
+                        del rpos[low + 1:]
+                        keep = rpos[-1]
+                        for r in rewritten[keep:]:
+                            seen[r] = False
+                        del rewritten[keep:]
+                        closed_at = -1
+                        for l in order[len(rpos) - 1:]:
+                            r = table[l]
+                            if not seen[r]:
+                                if seen[r ^ 1] or r in neg_eq_diag:
+                                    closed_at = len(rpos) - 1
+                                    nclosed += 1
+                                    break
+                                seen[r] = True
+                                rewritten.append(r)
+                            rpos.append(len(rewritten))
+                        else:
+                            nopen += 1
+                            if collect:
+                                collected.append((tuple(rewritten),
+                                                  sigma_items))
+                    low = len(order)
                 else:
                     nopen += 1
                     if collect:
@@ -1013,7 +1059,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             else:
                 while len(order) > so:
                     bset.discard(order.pop())
-            del eqlits[se:]
+            if has_eq:
+                del eqlits[se:]
+                if so < low:
+                    low = so
             del resident[sr:]
             leaf = None
         if lit >= 0:

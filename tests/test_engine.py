@@ -575,6 +575,36 @@ clause (forall z) (or (eq z a) (in z A))
 """
 
 
+# Each leaf merges b into a with the same rewrite table and closes at the
+# root's third literal, so after the first leaf each closes without a
+# walk.
+REUSED_CLOSE_KB = """\
+ind a b
+lit (eq a b)
+lit (in a A)
+lit (not (in b A))
+clause (forall z) (or (in z C) (in z D))
+"""
+
+# (eq a b) on some branches, (eq b a) on others and both on some: three
+# equality sequences with one merge map, so one rewrite table.
+SHARED_MAP_KB = """\
+ind a b c
+clause (forall z) (or (in z A) (eq a b))
+clause (forall z) (or (not (in z A)) (eq b a))
+clause (forall z) (or (in z C) (in z D))
+"""
+
+# (eq a b) on some branches, (eq a c) on others and both on some: three
+# merge maps, met in turn, so consecutive merged leaves change table and
+# change back.
+TABLE_CHANGE_KB = """\
+ind a b c
+clause (forall z) (or (in z A) (eq a b))
+clause (forall z) (or (in z B) (eq a c))
+"""
+
+
 def _equality_kbs():
     rng = random.Random(3131)
     texts = [t for t in (gen_random_kb(rng) for _ in range(60)) if "eq" in t]
@@ -587,39 +617,104 @@ def _named_branch(literals, sigma):
             sorted((k.name, v.name) for k, v in sigma.map0.items()))
 
 
+def _assert_phase_matches_reference(kb):
+    """Every engine, serially and with two workers, gives
+    ``reference_saturate``'s counts and branches, and all give the same
+    packed branches, which are returned."""
+    ref_branches, ref_closed = reference_saturate(kb)
+    ref = sorted(_named_branch(b.literals, b.sigma) for b in ref_branches)
+    packed = None
+    for engine in ("keg", "ke", "foke"):
+        for workers in (1, 2):
+            res = saturate(kb, EngineOptions(workers=workers), engine=engine)
+            assert (res.open_count, res.closed_count) == \
+                (len(ref_branches), ref_closed), (engine, workers)
+            assert sorted(_named_branch(br.literals, sigma)
+                          for br, sigma in res.open_complete) == ref
+            got = [(br.lit_ints, br.sigma_map) for br, _ in res.open_complete]
+            assert packed is None or got == packed, (engine, workers)
+            packed = got
+    return packed
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The rewrite table of every equality-phase lookup, in order."""
+    tables = []
+
+    class RecordingTable(engine_module._RewriteTable):
+        __slots__ = ()
+
+        def __getitem__(self, lit_int):
+            tables.append(self)
+            return super().__getitem__(lit_int)
+
+    monkeypatch.setattr(engine_module, "_RewriteTable", RecordingTable)
+    return tables
+
+
 class TestEqualityPhase:
     def test_engines_match_reference_on_equality_kbs(self):
         merged = 0
         for kb in _equality_kbs():
-            ref_branches, ref_closed = reference_saturate(kb)
-            ref = sorted(_named_branch(b.literals, b.sigma)
-                         for b in ref_branches)
-            packed = None
-            for engine in ("keg", "ke", "foke"):
-                for workers in (1, 2):
-                    res = saturate(kb, EngineOptions(workers=workers),
-                                   engine=engine)
-                    assert (res.open_count, res.closed_count) == \
-                        (len(ref_branches), ref_closed), (engine, workers)
-                    assert sorted(_named_branch(br.literals, sigma)
-                                  for br, sigma in res.open_complete) == ref
-                    got = [(br.lit_ints, br.sigma_map)
-                           for br, _ in res.open_complete]
-                    assert packed is None or got == packed, (engine, workers)
-                    packed = got
+            packed = _assert_phase_matches_reference(kb)
             merged += sum(1 for _, sigma_map in packed if sigma_map)
         assert merged > 20
 
-    def test_cache_cap_changes_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("collect", [True, False],
+                             ids=["collect", "count"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("engine", ["keg", "ke", "foke"])
+    def test_cache_cap_changes_nothing(self, monkeypatch, engine, workers,
+                                       collect):
+        """Clearing the caches makes new rewrite tables, so the phase
+        walks from the start at the next merged leaf; counts, statistics
+        and branches stay as they are."""
         kb = _ontology_kb()
-        expected = saturate(kb)
+        opts = EngineOptions(workers=workers, collect_branches=collect)
+
+        def run():
+            res = saturate(kb, opts, engine=engine)
+            res.stats.wall_seconds = 0.0
+            return res.open_count, res.closed_count, res.stats, res.packed
+
+        expected = run()
         monkeypatch.setattr(engine_module, "EQ_CACHE_CAP", 3)
-        capped = saturate(kb)
-        assert (capped.open_count, capped.closed_count) == \
-            (expected.open_count, expected.closed_count)
-        assert [(br.lit_ints, br.sigma_map) for br, _ in capped.open_complete] \
-            == [(br.lit_ints, br.sigma_map)
-                for br, _ in expected.open_complete]
+        assert run() == expected
+
+    def test_leaf_closed_by_reuse(self, lookups):
+        kb = parse_kb(REUSED_CLOSE_KB)
+        res = saturate(kb, EngineOptions(collect_branches=False))
+        # The first leaf looks up the root's three literals; the other
+        # three close without a lookup.
+        assert res.closed_count == 4 and len(lookups) == 3
+        _assert_phase_matches_reference(kb)
+
+    def test_sequences_sharing_a_merge_map(self, lookups):
+        kb = parse_kb(SHARED_MAP_KB)
+        saturate(kb, EngineOptions(collect_branches=False))
+        table = lookups[0]
+        assert all(t is table for t in lookups)
+        assert len(table.cache.by_eqs) == 3
+        assert _assert_phase_matches_reference(kb)
+
+    def test_table_change_between_merged_leaves(self, lookups):
+        kb = parse_kb(TABLE_CHANGE_KB)
+        saturate(kb, EngineOptions(collect_branches=False))
+        runs = [t for i, t in enumerate(lookups)
+                if i == 0 or t is not lookups[i - 1]]
+        # A table comes back after another one.
+        assert len(set(map(id, runs))) < len(runs)
+        assert _assert_phase_matches_reference(kb)
+
+    def test_ontology_lookups_below_a_thousand(self, lookups):
+        """The phase resumes rather than rewriting each merged leaf's
+        trail from the start: one keg saturation of the ontology-query
+        KB makes 487 rewrite-table lookups, where walks from the start
+        make 13,992."""
+        res = saturate(_ontology_kb(), EngineOptions(collect_branches=False))
+        assert (res.open_count, res.closed_count) == (196, 1276)
+        assert len(lookups) < 1000
 
     def test_no_cache_without_equality(self, italy_kb, monkeypatch):
         def no_cache(comp):

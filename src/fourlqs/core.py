@@ -225,7 +225,8 @@ class KnowledgeBase:
         return None
 
 
-def _unbound(v: Variable) -> NamespaceError:
+def unbound_placeholder(v: Variable) -> NamespaceError:
+    """The error for placeholder ``v`` in a clause that does not quantify it."""
     return NamespaceError(f"placeholder {v.name!r} is not bound by this clause",
                           "duplicate")
 
@@ -281,11 +282,7 @@ class KbBuilder:
 
     def _register(self, v: Variable) -> None:
         if v.quantified:
-            if v.name in self._by_name:
-                raise NamespaceError(
-                    f"quantified variable {v.name!r} is already a free name",
-                    "duplicate")
-            self._quantified[v.name] = v
+            self.quantified(v.name)
         else:
             self.free(v.sort, v.name)
 
@@ -294,7 +291,9 @@ class KbBuilder:
             if v.quantified:
                 raise ValueError("ground literals cannot contain placeholders")
             self._register(v)
-        self.append_literal(lit)
+        if lit not in self._literal_set:
+            self._literal_set.add(lit)
+            self._literals.append(lit)
 
     def add_clause(self, clause: UniversalClause) -> None:
         for z in clause.quantified:
@@ -303,40 +302,27 @@ class KbBuilder:
         for d in clause.disjuncts:
             for v in atom_vars(d.atom):
                 if v.quantified and v not in bound:
-                    raise _unbound(v)
+                    raise unbound_placeholder(v)
                 if not v.quantified:
                     self._register(v)
-        self._keep_clause(clause)
-
-    # The parser resolves every name through this builder (``free`` and
-    # ``quantified``) as it reads it, so its conjuncts skip the
-    # registration above.
-
-    def append_literal(self, lit: Literal) -> None:
-        """Add a ground literal whose names came from this builder."""
-        if lit not in self._literal_set:
-            self._literal_set.add(lit)
-            self._literals.append(lit)
-
-    def append_clause(self, clause: UniversalClause) -> None:
-        """Add a clause whose names came from this builder; only the
-        check that every placeholder is bound by the clause runs."""
-        bound = set(clause.quantified)
-        for d in clause.disjuncts:
-            for v in atom_vars(d.atom):
-                if v.quantified and v not in bound:
-                    raise _unbound(v)
-        self._keep_clause(clause)
-
-    def _keep_clause(self, clause: UniversalClause) -> None:
         if clause not in self._clause_set:
             self._clause_set.add(clause)
             self._clauses.append(clause)
 
     def build(self) -> KnowledgeBase:
+        return self.knowledge_base(self._literals, self._clauses)
+
+    def knowledge_base(self, literals, clauses) -> KnowledgeBase:
+        """``literals`` and ``clauses`` with this builder's symbol tables.
+
+        The parser resolves every name through ``free`` and ``quantified``
+        as it reads it and drops a repeated line, which is exactly a
+        repeated conjunct, so it collects its conjuncts itself and skips
+        the registration and the hashing of ``add_literal`` and
+        ``add_clause``."""
         return KnowledgeBase(
-            literals=tuple(self._literals),
-            clauses=tuple(self._clauses),
+            literals=tuple(literals),
+            clauses=tuple(clauses),
             var0_order=tuple(self._order[SORT0]),
             var1_order=tuple(self._order[SORT1]),
             var3_order=tuple(self._order[SORT3]),

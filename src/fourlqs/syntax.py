@@ -13,10 +13,13 @@ from the slot (element vs set position) and must be globally consistent.
 Queries are a plain sequence of literals where any slot may hold a
 ``?``-prefixed query variable; the empty file is the empty query.
 
-KB, query and DL text (``dlfront``) share one token layer: a line is one
-``findall`` into plain strings, read by index.  No position is kept per
-token; a span is computed only for the diagnostic that is raised, by
-scanning its one line again.
+KB, query and DL text (``dlfront``) share one token layer: a line, its
+comment dropped, is split into plain strings by ``str`` methods and read
+by index.  No position is kept per token; a span is computed only for
+the diagnostic that is raised, by matching its one line against
+``_TOKEN``.  KB and query lines share one atom reader, which resolves a
+name once per parse and looks it up in a dict after that; a KB line whose
+tokens were already read is dropped before anything is built.
 
 Answers and extracted models are rendered as JSON with a fixed schema so
 repeated runs are byte-identical.
@@ -31,7 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (SORT0, SORT1, SORT3, Eq, FourlqsError, KbBuilder,
                    KnowledgeBase, Literal, Member1, Member3, NamespaceError,
-                   Substitution, UniversalClause, Variable)
+                   Substitution, UniversalClause, Variable,
+                   unbound_placeholder)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +64,33 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _NAME = re.compile(r"\??[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
 
 
+def _tokens(body: str) -> List[str]:
+    """``_TOKEN.findall(body)``, by ``str`` methods: ``str.split`` and the
+    pattern's ``\\s`` share one whitespace test."""
+    return body.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def _name_problem(tok: str, allow_query: bool = False) -> Optional[str]:
+    """What keeps ``tok`` from being a name here, if anything."""
+    if not _NAME.match(tok):
+        return f"expected a name, got {tok!r}"
+    if tok[0] == "?" and not allow_query:
+        return "query variables are not allowed here"
+    return None
+
+
+def _error(body: str, lineno: int, at: int, message: str,
+           kind: str = "lex") -> ParseError:
+    """A diagnostic at token ``at`` of ``body``, or just past its last
+    token."""
+    spans = [m.span() for m in _TOKEN.finditer(body)]
+    if at < len(spans):
+        start, end = spans[at]
+    else:
+        start = end = spans[-1][1] if spans else 0
+    return ParseError(SourceSpan(lineno, start + 1, end - start), message, kind)
+
+
 class LineParser:
     """Reader over one line's tokens, comment dropped."""
 
@@ -67,21 +98,15 @@ class LineParser:
 
     def __init__(self, line: str, lineno: int):
         self.body = line.split("#", 1)[0]
-        self.toks: List[str] = _TOKEN.findall(self.body)
+        self.toks: List[str] = _tokens(self.body)
         self.pos = 0
         self.lineno = lineno
 
     def fail(self, message: str, kind: str = "lex",
              at: Optional[int] = None) -> ParseError:
         """A diagnostic at token ``at`` (default ``pos``) or past the end."""
-        spans = [m.span() for m in _TOKEN.finditer(self.body)]
-        at = self.pos if at is None else at
-        if at < len(spans):
-            start, end = spans[at]
-        else:
-            start = end = spans[-1][1] if spans else 0
-        return ParseError(SourceSpan(self.lineno, start + 1, end - start),
-                          message, kind)
+        return _error(self.body, self.lineno, self.pos if at is None else at,
+                      message, kind)
 
     def done(self) -> bool:
         return self.pos >= len(self.toks)
@@ -100,67 +125,12 @@ class LineParser:
         if tok != text:
             raise self.fail(f"expected {text!r}, got {tok!r}", at=self.pos - 1)
 
-    def name(self, allow_query: bool = False) -> str:
+    def name(self) -> str:
         tok = self.take()
-        self.check_name(self.pos - 1, allow_query)
+        problem = _name_problem(tok)
+        if problem:
+            raise self.fail(problem, at=self.pos - 1)
         return tok
-
-    def check_name(self, at: int, allow_query: bool) -> None:
-        tok = self.toks[at]
-        if not _NAME.match(tok):
-            raise self.fail(f"expected a name, got {tok!r}", at=at)
-        if tok[0] == "?" and not allow_query:
-            raise self.fail("query variables are not allowed here", at=at)
-
-
-class _Names:
-    """Shared name resolution for KB and query parsing.
-
-    Wraps a ``KbBuilder`` so namespace violations surface as positioned
-    parse errors.  For queries, ``?``-names intern as ordinary free
-    variables of the slot's sort and are tracked separately; a query
-    variable reused at two sorts is a ``sort`` error.
-    """
-
-    def __init__(self, builder: KbBuilder, kb: Optional[KnowledgeBase] = None):
-        self.builder = builder
-        self.kb = kb
-        self.qvars: Dict[str, Variable] = {}
-        self.qvar_order: List[Variable] = []
-
-    def resolve(self, p: LineParser, at: int, sort: int,
-                quantified: bool = False) -> Variable:
-        """The variable that token ``at`` of ``p`` names at ``sort``."""
-        name = p.toks[at]
-        try:
-            if name[0] == "?":
-                known = self.qvars.get(name)
-                if known is not None:
-                    if known.sort != sort:
-                        raise NamespaceError(
-                            f"query variable {name!r} used at two sorts", "sort")
-                    return known
-                v = Variable(sort, name)
-                self.qvars[name] = v
-                self.qvar_order.append(v)
-                return v
-            if self.kb is not None:
-                # Query mode: plain names must come from the KB, same sort.
-                v = self.kb.lookup(sort, name)
-                if v is None:
-                    for other in (SORT0, SORT1, SORT3):
-                        if other != sort and self.kb.lookup(other, name):
-                            raise NamespaceError(
-                                f"name {name!r} has a different sort in the KB",
-                                "sort")
-                    raise NamespaceError(f"unknown symbol {name!r}",
-                                         "unknown-symbol")
-                return v
-            if quantified:
-                return self.builder.quantified(name)
-            return self.builder.free(sort, name)
-        except NamespaceError as err:
-            raise p.fail(str(err), err.kind, at=at) from None
 
 
 # Atom head -> (constructor, slot sorts).
@@ -168,97 +138,229 @@ _ATOMS = {"eq": (Eq, (SORT0, SORT0)), "in": (Member1, (SORT0, SORT1)),
           "rel": (Member3, (SORT0, SORT0, SORT3))}
 
 
-def _parse_atom(p: LineParser, names: _Names, quantified_ok: bool,
-                allow_query: bool) -> Literal:
-    toks, i = p.toks, p.pos
-    try:
-        if toks[i] != "(":
-            raise p.fail(f"expected '(', got {toks[i]!r}", at=i)
-        head = toks[i + 1]
-        if head == "not":
-            p.pos = i + 2
-            inner = _parse_atom(p, names, quantified_ok, allow_query)
-            if not inner.positive:
-                raise p.fail("nested negation is not allowed", at=i + 1)
-            p.expect(")")
-            return Literal(False, inner.atom)
-        shape = _ATOMS.get(head)
-        if shape is None:
-            raise p.fail(f"expected eq, in, rel or not, got {head!r}", at=i + 1)
-        make, sorts = shape
-        args = []
-        for i, sort in enumerate(sorts, start=i + 2):
-            tok = toks[i]     # inline test; check_name raises the diagnostic
-            if not _NAME.match(tok) or (tok[0] == "?" and not allow_query):
-                p.check_name(i, allow_query)
-            q = None
-            if quantified_ok and sort == SORT0 and tok[0] != "?":
-                q = names.builder.lookup_quantified(tok)
-            args.append(q or names.resolve(p, i, sort))
+class _Reader:
+    """Reads the lines of one KB, or of one query against ``kb``.
+
+    A line is a list of tokens, walked by index.  A name is checked and
+    resolved the first time it fills a slot of its sort; ``names`` then
+    maps it to its variable, so a later occurrence costs one dict lookup.
+    In a KB, names go through the naming discipline of ``builder``, and
+    while a clause line is read ``names`` also holds that clause's
+    placeholders.  In a query, ``?``-names are query variables, tracked
+    in ``qvars``, and plain names must be symbols of ``kb`` at the slot's
+    sort.
+    """
+
+    __slots__ = ("builder", "kb", "names", "qvars", "unbound", "body", "lineno")
+
+    def __init__(self, kb: Optional[KnowledgeBase] = None):
+        self.builder = KbBuilder() if kb is None else None
+        self.kb = kb
+        self.names: Dict[str, Variable] = {}
+        self.qvars: List[Variable] = []
+        self.unbound: Optional[Variable] = None
+        self.body = ""
+        self.lineno = 0
+
+    def line(self, raw: str, lineno: int) -> List[str]:
+        """The tokens of ``raw``, comment dropped; diagnostics point into
+        this line until the next call."""
+        self.body = body = raw.split("#", 1)[0]
+        self.lineno = lineno
+        return _tokens(body)
+
+    def fail(self, message: str, at: int, kind: str = "lex") -> ParseError:
+        return _error(self.body, self.lineno, at, message, kind)
+
+    def name(self, toks: List[str], at: int, sort: int,
+             in_clause: bool = False) -> Variable:
+        """The variable that token ``at`` names in a slot of ``sort``,
+        when ``names`` does not already give it."""
+        tok = toks[at]
+        problem = _name_problem(tok, allow_query=self.kb is not None)
+        if problem:
+            raise self.fail(problem, at)
+        try:
+            if self.kb is not None:
+                v = self._query_name(tok, sort)
+            else:
+                if in_clause and sort == SORT0:
+                    z = self.builder.lookup_quantified(tok)
+                    if z is not None:
+                        # Another clause's placeholder: this clause fails
+                        # once the rest of its line has been read.
+                        if self.unbound is None:
+                            self.unbound = z
+                        return z
+                v = self.builder.free(sort, tok)
+        except NamespaceError as err:
+            raise self.fail(str(err), at, err.kind) from None
+        self.names[tok] = v
+        return v
+
+    def _query_name(self, tok: str, sort: int) -> Variable:
+        if tok[0] == "?":
+            if tok in self.names:
+                raise NamespaceError(
+                    f"query variable {tok!r} used at two sorts", "sort")
+            v = Variable(sort, tok)
+            self.qvars.append(v)
+            return v
+        v = self.kb.lookup(sort, tok)
+        if v is None:
+            for other in (SORT0, SORT1, SORT3):
+                if other != sort and self.kb.lookup(other, tok):
+                    raise NamespaceError(
+                        f"name {tok!r} has a different sort in the KB", "sort")
+            raise NamespaceError(f"unknown symbol {tok!r}", "unknown-symbol")
+        return v
+
+    def atom(self, toks: List[str], i: int,
+             in_clause: bool = False) -> Tuple[Literal, int]:
+        """The literal that starts at token ``i``, and the index past it."""
+        names = self.names
+        try:
+            if toks[i] != "(":
+                raise self.fail(f"expected '(', got {toks[i]!r}", i)
+            head = toks[i + 1]
+            outer = inner = 0   # the two innermost nots' indices; 0 is none
+            while head == "not":
+                outer, inner = inner, i + 1
+                i += 2
+                if toks[i] != "(":
+                    raise self.fail(f"expected '(', got {toks[i]!r}", i)
+                head = toks[i + 1]
+            shape = _ATOMS.get(head)
+            if shape is None:
+                raise self.fail(
+                    f"expected eq, in, rel or not, got {head!r}", i + 1)
+            make, sorts = shape
+            args = []
+            i += 2
+            for sort in sorts:
+                v = names.get(toks[i])
+                if v is None or v.sort != sort:
+                    v = self.name(toks, i, sort, in_clause)
+                args.append(v)
+                i += 1
+            if toks[i] != ")":
+                raise self.fail(f"expected ')', got {toks[i]!r}", i)
+            i += 1
+            if inner:
+                if toks[i] != ")":
+                    raise self.fail(f"expected ')', got {toks[i]!r}", i)
+                i += 1
+                if outer:
+                    raise self.fail("nested negation is not allowed", outer)
+        except IndexError:
+            raise self.fail("unexpected end of line", len(toks)) from None
+        return Literal(not inner, make(*args)), i
+
+    def individuals(self, toks: List[str]) -> None:
+        """The names of an ``ind`` line, each entered as an individual."""
+        if len(toks) == 1:
+            raise self.fail("ind needs at least one name", 1, "arity")
+        names = self.names
+        for at in range(1, len(toks)):
+            v = names.get(toks[at])
+            if v is None or v.sort != SORT0:
+                self.name(toks, at, SORT0)
+
+    def clause(self, toks: List[str]) -> UniversalClause:
+        """The clause of a ``clause`` line."""
+        names = self.names
+        try:
+            if toks[1] != "(":
+                raise self.fail(f"expected '(', got {toks[1]!r}", 1)
+            if toks[2] != "forall":
+                raise self.fail(f"expected 'forall', got {toks[2]!r}", 2)
+            zs = []
+            i = 3
+            while toks[i] != ")":
+                zs.append(self._placeholder(toks, i))
+                i += 1
+            i += 1
+            if not zs:
+                raise self.fail("forall needs at least one variable", i,
+                                "arity")
+            if len(set(zs)) != len(zs):
+                raise self.fail("quantified variables must be distinct", i,
+                                "duplicate")
+            if toks[i] != "(":
+                raise self.fail(f"expected '(', got {toks[i]!r}", i)
+            if toks[i + 1] != "or":
+                raise self.fail(f"expected 'or', got {toks[i + 1]!r}", i + 1)
+            i += 2
+            for z in zs:
+                names[z.name] = z
+            disjuncts = []
+            while toks[i] == "(":
+                lit, i = self.atom(toks, i, in_clause=True)
+                disjuncts.append(lit)
+            if toks[i] != ")":
+                raise self.fail(f"expected ')', got {toks[i]!r}", i)
+        except IndexError:
+            raise self.fail("unexpected end of line", len(toks)) from None
         i += 1
-        if toks[i] != ")":
-            raise p.fail(f"expected ')', got {toks[i]!r}", at=i)
-    except IndexError:
-        raise p.fail("unexpected end of line", at=len(toks)) from None
-    p.pos = i + 1
-    return Literal(True, make(*args))
+        if not disjuncts:
+            raise self.fail("or needs at least one literal", i, "arity")
+        if i != len(toks):
+            raise self.fail("trailing tokens after clause", i)
+        if self.unbound is not None:
+            err = unbound_placeholder(self.unbound)
+            raise ParseError(SourceSpan(self.lineno, 1), str(err), err.kind)
+        for z in zs:
+            del names[z.name]
+        return UniversalClause(tuple(zs), tuple(disjuncts))
+
+    def _placeholder(self, toks: List[str], at: int) -> Variable:
+        tok = toks[at]
+        z = self.builder.lookup_quantified(tok)
+        if z is not None:
+            return z
+        problem = _name_problem(tok)
+        if problem:
+            raise self.fail(problem, at)
+        try:
+            return self.builder.quantified(tok)
+        except NamespaceError as err:
+            raise self.fail(str(err), at, err.kind) from None
 
 
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse the KB text format.
 
     Individuals enter ``var0_order`` in order of first appearance and
-    duplicate conjuncts are dropped.
+    duplicate conjuncts are dropped.  Within one KB a line's tokens fix
+    its conjunct and the conjunct fixes the tokens, and a line read once
+    stays valid, since the namespace only grows consistently with it.
+    So a line whose tokens were read before is dropped unread.
     """
-    builder = KbBuilder()
-    names = _Names(builder)
+    r = _Reader()
+    literals: List[Literal] = []
+    clauses: List[UniversalClause] = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        p = LineParser(raw, lineno)
-        if not p.toks:
+        toks = r.line(raw, lineno)
+        if not toks:
             continue
-        head = p.take()
-        if head == "ind":
-            if p.done():
-                raise p.fail("ind needs at least one name", "arity")
-            while not p.done():
-                p.name()
-                names.resolve(p, p.pos - 1, SORT0)
-        elif head == "lit":
-            lit = _parse_atom(p, names, quantified_ok=False, allow_query=False)
-            if not p.done():
-                raise p.fail("trailing tokens after literal")
-            builder.append_literal(lit)
+        key = tuple(toks)
+        if key in seen:
+            continue
+        seen.add(key)
+        head = toks[0]
+        if head == "lit":
+            lit, i = r.atom(toks, 1)
+            if i != len(toks):
+                raise r.fail("trailing tokens after literal", i)
+            literals.append(lit)
         elif head == "clause":
-            p.expect("(")
-            p.expect("forall")
-            zs = []
-            while p.peek() != ")":
-                p.name()
-                zs.append(names.resolve(p, p.pos - 1, SORT0, quantified=True))
-            p.expect(")")
-            if not zs:
-                raise p.fail("forall needs at least one variable", "arity")
-            if len(set(zs)) != len(zs):
-                raise p.fail("quantified variables must be distinct",
-                             "duplicate")
-            p.expect("(")
-            p.expect("or")
-            disjuncts = []
-            while p.peek() == "(":
-                disjuncts.append(
-                    _parse_atom(p, names, quantified_ok=True, allow_query=False))
-            p.expect(")")
-            if not disjuncts:
-                raise p.fail("or needs at least one literal", "arity")
-            if not p.done():
-                raise p.fail("trailing tokens after clause")
-            try:
-                builder.append_clause(UniversalClause(tuple(zs), tuple(disjuncts)))
-            except NamespaceError as err:
-                raise ParseError(SourceSpan(lineno, 1), str(err), err.kind) from None
+            clauses.append(r.clause(toks))
+        elif head == "ind":
+            r.individuals(toks)
         else:
-            raise p.fail(f"expected ind, lit or clause, got {head!r}", at=0)
-    return builder.build()
+            raise r.fail(f"expected ind, lit or clause, got {head!r}", 0)
+    return r.builder.knowledge_base(literals, clauses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,16 +388,17 @@ class Query:
 
 def parse_query(text: str, kb: KnowledgeBase) -> Query:
     """Parse a query against ``kb``; plain names must be KB symbols."""
-    names = _Names(KbBuilder(), kb=kb)
+    r = _Reader(kb)
     conjuncts: List[Literal] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        p = LineParser(raw, lineno)
-        while not p.done():
-            conjuncts.append(
-                _parse_atom(p, names, quantified_ok=False, allow_query=True))
-    q0 = tuple(v for v in names.qvar_order if v.sort == SORT0)
-    q1 = tuple(v for v in names.qvar_order if v.sort == SORT1)
-    q3 = tuple(v for v in names.qvar_order if v.sort == SORT3)
+        toks = r.line(raw, lineno)
+        i = 0
+        while i < len(toks):
+            lit, i = r.atom(toks, i)
+            conjuncts.append(lit)
+    q0 = tuple(v for v in r.qvars if v.sort == SORT0)
+    q1 = tuple(v for v in r.qvars if v.sort == SORT1)
+    q3 = tuple(v for v in r.qvars if v.sort == SORT3)
     return Query(tuple(conjuncts), q0, q1, q3, kb=kb)
 
 

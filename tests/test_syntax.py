@@ -11,8 +11,8 @@ from fourlqs import parse_kb, parse_query, var0, var3
 from fourlqs.bench import gen_random_kb, gen_random_query
 from fourlqs.core import Member3
 from fourlqs.dlfront import UnsupportedAxiomError, parse_dl
-from fourlqs.syntax import (ParseError, render_answer_set, render_kb,
-                            render_query)
+from fourlqs.syntax import (_TOKEN, ParseError, _tokens, render_answer_set,
+                            render_kb, render_query)
 from fourlqs import substitution0
 
 from conftest import ITALY_DL, ITALY_KB
@@ -77,6 +77,29 @@ class TestParseKb:
     def test_clause_body_must_be_literals(self):
         with pytest.raises(ParseError):
             parse_kb("clause (forall z) (or (and (in z A) (in z B)))")
+
+    def test_repeated_lines_with_other_spacing(self):
+        text = ("ind b a\n"
+                "lit (not (in a A))\n"
+                "clause (forall z) (or (in z A) (rel z b R))\n"
+                "lit\t(not(in a A))  # again\n"
+                "clause(forall z)(or(in z A) (rel z  b R)) # again\n"
+                "lit (not (in a A))\n")
+        kb = parse_kb(text)
+        assert len(kb.literals) == 1 and len(kb.clauses) == 1
+        assert [v.name for v in kb.var0_order] == ["b", "a"]
+        assert kb == parse_kb(text.split("lit\t")[0])
+
+    def test_deep_negation_is_a_diagnostic(self):
+        # Nested negation is refused at the second innermost not, after
+        # the atom inside it has been read; no depth is too deep for that.
+        n = 2000
+        text = "lit " + "(not " * n + "(in a A)" + ")" * n
+        with pytest.raises(ParseError) as err:
+            parse_kb(text)
+        column = len("lit ") + len("(not ") * (n - 2) + len("(") + 1
+        assert str(err.value) == (
+            f"1:{column}: nested negation is not allowed")
 
 
 # (id, grammar, text, str(err), kind, span.line, span.column).  Queries
@@ -148,6 +171,26 @@ GOLDEN = [
     ("unbound-placeholder", "kb",
      "clause (forall z1) (or (in z1 A))\nclause (forall z2) (or (in z1 A))",
      "2:1: placeholder 'z1' is not bound by this clause", "duplicate", 2, 1),
+    ("lex-error-after-unbound-placeholder", "kb",
+     "clause (forall z1) (or (in z1 A))\n"
+     "clause (forall z2) (or (in z1 A) (in z2 !))",
+     "2:41: expected a name, got '!'", "lex", 2, 41),
+    ("trailing-after-unbound-placeholder", "kb",
+     "clause (forall z1) (or (in z1 A))\n"
+     "clause (forall z2) (or (in z1 A) (in z2 B)) extra",
+     "2:45: trailing tokens after clause", "lex", 2, 45),
+    ("placeholder-in-later-literal", "kb",
+     "clause (forall z) (or (in z A))\nlit (in z A)",
+     "2:9: name 'z' is already a quantified variable", "duplicate", 2, 9),
+    ("placeholder-in-later-ind", "kb",
+     "clause (forall z) (or (in z A))\nind z",
+     "2:5: name 'z' is already a quantified variable", "duplicate", 2, 5),
+    ("not-without-parens", "kb", "lit (not in a A)",
+     "1:10: expected '(', got 'in'", "lex", 1, 10),
+    ("unknown-head-under-not", "kb", "lit (not (member a A))",
+     "1:11: expected eq, in, rel or not, got 'member'", "lex", 1, 11),
+    ("not-cut-at-end", "kb", "lit (not (in a A)",
+     "1:18: unexpected end of line", "lex", 1, 18),
     ("q-unknown-symbol", "query", "(in Nowhere ?c)",
      "1:5: unknown symbol 'Nowhere'", "unknown-symbol", 1, 5),
     ("q-variable-at-two-sorts", "query", "(in ?x isPartOf) (rel Rome Italy ?x)",
@@ -209,37 +252,61 @@ class TestDiagnostics:
                 message, kind, line, column)
 
 
+class TestTokens:
+    # ``\x1c``, ``\x85`` and ``\u2028`` also end a line for ``splitlines``;
+    # the tokenizer itself must still treat them as whitespace.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ("(", ")", "#", "?", "?x", "a", "B_1", "it's", "n-1.2", " ", "\t",
+         "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")),
+        max_size=30).map("".join))
+    def test_tokens_are_the_patterns_matches(self, body):
+        # A diagnostic maps a token index to a ``_TOKEN.finditer`` span,
+        # so the two must agree token for token.
+        assert _tokens(body) == _TOKEN.findall(body)
+
+
 # Token-level mutations: delete, insert or replace one token from this
-# vocabulary ("" deletes in effect; "#" comments out the rest of a line).
+# vocabulary ("" deletes in effect; "#" comments out the rest of a line),
+# or copy one line to another position.
 _VOCAB = ("ind", "lit", "clause", "forall", "or", "not", "eq", "in", "rel",
           "and", "subsume", "assert", "top", "(", ")", "a", "b", "A", "R",
-          "qz1", "?x", "#", "", "\n")
-_EDITS = st.lists(st.tuples(st.sampled_from("dir"), st.integers(0, 999),
-                            st.sampled_from(_VOCAB)), max_size=4)
+          "qz1", "?x", "#", "", "\n", "\t", "\u00a0")
+_EDITS = st.lists(st.tuples(st.sampled_from("dirc"), st.integers(0, 999),
+                            st.integers(0, 999), st.sampled_from(_VOCAB)),
+                  max_size=4)
 
 
 def _mutate(text: str, edits) -> str:
     toks = re.findall(r"\n|\(|\)|[^\s()]+", text)
-    for op, at, word in edits:
+    for op, at, to, word in edits:
         at %= len(toks) + 1
         if op == "d":
             del toks[at:at + 1]
         elif op == "i":
             toks.insert(at, word)
-        else:
+        elif op == "r":
             toks[at:at + 1] = [word]
+        else:
+            ends = [k for k, tok in enumerate(toks) if tok == "\n"]
+            starts = [0] + [k + 1 for k in ends]
+            line = at % len(starts)
+            copy = toks[starts[line]:(ends + [len(toks)])[line]] + ["\n"]
+            dest = starts[to % len(starts)]
+            toks[dest:dest] = copy
     return " ".join(toks)
 
 
 class TestParserFuzz:
     """Every mutant either parses or raises ``ParseError`` (DL input may
     also name an unsupported construct), with a span that points into
-    the input and a message that starts with it."""
+    the input and a message that starts with it.  A KB mutant that
+    parses renders to text that parses back to the same conjuncts."""
 
     @staticmethod
-    def _check(grammar: str, text: str, kb=None) -> None:
+    def _check(grammar: str, text: str, kb=None):
         try:
-            _parse(grammar, text, kb)
+            return _parse(grammar, text, kb)
         except ParseError as err:
             span = err.span
             assert 1 <= span.line <= max(1, len(text.splitlines()))
@@ -247,6 +314,7 @@ class TestParserFuzz:
             assert str(err).startswith(f"{span.line}:{span.column}: ")
         except UnsupportedAxiomError:
             assert grammar == "dl"
+        return None
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6), kb_edits=_EDITS, q_edits=_EDITS)
@@ -254,7 +322,15 @@ class TestParserFuzz:
         rng = random.Random(seed)
         text = gen_random_kb(rng)
         query = gen_random_query(rng, parse_kb(text))
-        self._check("kb", _mutate(text, kb_edits))
+        kb = self._check("kb", _mutate(text, kb_edits))
+        if kb is not None:
+            # ``render_kb`` writes every literal before every clause, so a
+            # set name that first appears in a clause may move in its order.
+            again = parse_kb(render_kb(kb))
+            assert (again.literals, again.clauses, again.var0_order) == (
+                kb.literals, kb.clauses, kb.var0_order)
+            assert set(again.var1_order) == set(kb.var1_order)
+            assert set(again.var3_order) == set(kb.var3_order)
         self._check("query", _mutate(query, q_edits), parse_kb(text))
 
     @settings(max_examples=100, deadline=None)

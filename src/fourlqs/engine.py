@@ -175,6 +175,23 @@ class CompiledKb:
     integer operations and no allocation beyond the literal itself, and
     the complement is one xor.  All engines speak the same integers, so
     their branch encodings are directly comparable.
+
+    The constructor reads the KB once, in this order:
+
+    1. the sizes, and per set1 and set3 symbol the integer of its first
+       literal and per individual its two steps (``4k*i`` in the first
+       slot, ``4*i`` in the second), laid out as if the KB mentioned
+       equality;
+    2. ``ground_lits``, then each clause's disjunct specs, each literal
+       with one test of its atom's type and a few additions; an
+       equality atom is what sets ``has_eq``;
+    3. when no atom was an equality, every literal read so far is a
+       membership, so each moves down by the ``k*k`` equality keys, and
+       the bases and ``symkey`` follow from ``has_eq``;
+    4. ``clause_specs``, ``jobs`` and ``length_bound`` in one loop over
+       the clauses, with one ``itertools.product`` list per arity;
+    5. ``eq_pos``, ``neg_eq_diag`` and ``eq_marked`` as ``range`` steps
+       over the equality keys.
     """
 
     __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "astep",
@@ -185,93 +202,139 @@ class CompiledKb:
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
-        self.inds = list(kb.var0_order)
-        self.set1s = list(kb.var1_order)
-        self.set3s = list(kb.var3_order)
-        self.k = max(len(self.inds), 1)
-        self.kk = self.k * self.k
-        self.astep = 4 * self.k
-        self.n1 = len(self.set1s)
-        self.nsym = 1 + self.n1 + len(self.set3s)
-        self.has_eq = self._mentions_equality(kb)
-        self.base1 = self.kk if self.has_eq else 0
-        self.base3 = self.base1 + self.n1 * self.k
-        self.nkeys = self.base3 + len(self.set3s) * self.kk
-        self.baseq = 0 if self.has_eq else self.nkeys
-        # symkey[sym] is the symbol's first key.
-        self.symkey = [self.baseq, *range(self.base1, self.base3, self.k),
-                       *range(self.base3, self.nkeys, self.kk)]
-        # The length of a list indexed by literal integer.  The largest
-        # literal a branch can hold is 4*nkeys - 3; the one slot past it
-        # is never set, so index -1 reads it and finds no literal there.
-        self.nmarks = 4 * self.nkeys - 1
-        ind_ix = {v: i for i, v in enumerate(self.inds)}
-        sym1_ix = {v: 1 + i for i, v in enumerate(self.set1s)}
-        sym3_ix = {v: 1 + len(self.set1s) + i for i, v in enumerate(self.set3s)}
+        self.inds = inds = list(kb.var0_order)
+        self.set1s = set1s = list(kb.var1_order)
+        self.set3s = set3s = list(kb.var3_order)
+        nind = len(inds)
+        self.k = k = nind or 1
+        self.kk = kk = k * k
+        self.astep = astep = 4 * k
+        self.n1 = n1 = len(set1s)
+        self.nsym = 1 + n1 + len(set3s)
+        # The keys as if the KB mentioned equality: k*k equality keys
+        # first, at 0, then the set1 and the set3 symbols'.
+        base3 = kk + n1 * k
+        nkeys = base3 + len(set3s) * kk
+        first1 = {v: 4 * key for v, key in zip(set1s, range(kk, base3, k))}
+        first3 = {v: 4 * key for v, key in zip(set3s, range(base3, nkeys, kk))}
+        # An individual's step in a pair's first slot and in the second
+        # slot, which a membership's individual also takes.
+        step1, step2 = {}, {}
+        for i, v in enumerate(inds):
+            step1[v] = astep * i
+            step2[v] = 4 * i
 
-        self.ground_lits = [self.encode(lit, ind_ix, sym1_ix, sym3_ix)
-                            for lit in kb.literals]
+        has_eq = False
+        ground = []
+        for lit in kb.literals:
+            a = lit.atom
+            t = type(a)
+            if t is Member1:
+                l = first1[a.set1] + step2[a.elem]
+            elif t is Member3:
+                l = first3[a.set3] + step1[a.first] + step2[a.second]
+            else:
+                has_eq = True
+                l = step1[a.left] + step2[a.right]
+            ground.append(l if lit.positive else l + 1)
 
         # A disjunct spec is (const, ia, ib): the literal is const plus
         # 4k*tau[ia] plus 4*tau[ib]; a slot holding a free individual is
         # folded into const and flagged with index -1.
-        symkey = self.symkey
-        self.clause_specs = []
+        body_specs = []
         for cl in kb.clauses:
-            bound_ix = {z: i for i, z in enumerate(cl.quantified)}
+            slot = cl.quantified.index
             specs = []
             for d in cl.disjuncts:
-                neg = 0 if d.positive else 1
                 a = d.atom
-                # A membership's individual takes the second slot, which
-                # steps by 4 like the last individual of a pair.
-                if isinstance(a, Eq):
-                    sym, va, vb = 0, a.left, a.right
-                elif isinstance(a, Member1):
-                    sym, va, vb = sym1_ix[a.set1], None, a.elem
-                else:
-                    sym, va, vb = sym3_ix[a.set3], a.first, a.second
-                const = symkey[sym] * 4 + neg
+                t = type(a)
                 ia = ib = -1
-                if va is not None:
+                if t is Member1:
+                    const = first1[a.set1]
+                    vb = a.elem
+                else:
+                    if t is Member3:
+                        const = first3[a.set3]
+                        va, vb = a.first, a.second
+                    else:
+                        has_eq = True
+                        const = 0
+                        va, vb = a.left, a.right
                     if va.quantified:
-                        ia = bound_ix[va]
+                        ia = slot(va)
                     else:
-                        const += ind_ix[va] * self.astep
-                if vb is not None:
-                    if vb.quantified:
-                        ib = bound_ix[vb]
-                    else:
-                        const += ind_ix[vb] * 4
-                specs.append((const, ia, ib))
-            self.clause_specs.append((len(cl.quantified), tuple(specs)))
+                        const += step1[va]
+                if vb.quantified:
+                    ib = slot(vb)
+                else:
+                    const += step2[vb]
+                specs.append((const if d.positive else const + 1, ia, ib))
+            body_specs.append(specs)
+
+        if has_eq:
+            base1 = kk
+            baseq = 0
+        else:
+            # No literal is an equality: drop the equality keys, and put
+            # x = y past the last key, where no branch holds it.
+            shift = 4 * kk
+            ground = [l - shift for l in ground]
+            body_specs = [[(const - shift, ia, ib) for const, ia, ib in specs]
+                          for specs in body_specs]
+            base1 = 0
+            base3 -= kk
+            nkeys -= kk
+            baseq = nkeys
+        self.has_eq = has_eq
+        self.base1 = base1
+        self.base3 = base3
+        self.nkeys = nkeys
+        self.baseq = baseq
+        # symkey[sym] is the symbol's first key.
+        self.symkey = [baseq, *range(base1, base3, k),
+                       *range(base3, nkeys, kk)]
+        # The length of a list indexed by literal integer.  The largest
+        # literal a branch can hold is 4*nkeys - 3; the one slot past it
+        # is never set, so index -1 reads it and finds no literal there.
+        self.nmarks = 4 * nkeys - 1
+        self.ground_lits = ground
 
         # Jobs: (clause, tau) pairs in clause order then lexicographic tau
         # order over var0_order -- the shared instantiation discipline.
-        nind = len(self.inds)
-        self.jobs: List[Tuple[Tuple, Tuple[int, ...]]] = [
-            (specs, tau) for m, specs in self.clause_specs
-            for tau in itertools.product(range(nind), repeat=m)]
+        # Height bound: ground conjuncts plus, per clause, disjuncts times
+        # instantiation count.  Asserted at every leaf.
+        clause_specs = []
+        jobs: List[Tuple[Tuple, Tuple[int, ...]]] = []
+        bound = len(ground)
+        taus_of: Dict[int, List[Tuple[int, ...]]] = {}
+        for cl, specs in zip(kb.clauses, body_specs):
+            m = len(cl.quantified)
+            specs = tuple(specs)
+            clause_specs.append((m, specs))
+            taus = taus_of.get(m)
+            if taus is None:
+                taus = taus_of[m] = list(itertools.product(range(nind),
+                                                           repeat=m))
+            jobs += zip(itertools.repeat(specs), taus)
+            bound += len(specs) * len(taus)
+        self.clause_specs = clause_specs
+        self.jobs = jobs
+        self.length_bound = bound
         self._instances: Optional[List[Tuple[int, ...]]] = None
 
-        if self.has_eq:
-            self.eq_pos = frozenset(
-                (a * self.k + b) * 4
-                for a in range(nind) for b in range(nind) if a != b)
-            self.neg_eq_diag = frozenset(
-                (a * self.k + a) * 4 + 1 for a in range(nind))
+        # The literals an added literal is tested against: it extends
+        # the equality sequence (eq_pos, x = y with x, y distinct) or
+        # closes the branch (neg_eq_diag, the negated x = x).  The
+        # equality keys are 0 to k*k - 1 and x = x steps by k + 1.
+        if has_eq and nind:
+            diagonal = 4 * (k + 1)
+            self.neg_eq_diag = frozenset(range(1, 4 * kk, diagonal))
+            self.eq_pos = frozenset(range(0, 4 * kk, 4)).difference(
+                range(0, 4 * kk, diagonal))
         else:
             self.eq_pos = frozenset()
             self.neg_eq_diag = frozenset()
-        # The literals an added literal is tested against: it extends
-        # the equality sequence (eq_pos) or closes the branch
-        # (neg_eq_diag, the odd ones).
         self.eq_marked = self.eq_pos | self.neg_eq_diag
-
-        # Height bound: ground conjuncts plus, per clause, disjuncts times
-        # instantiation count.  Asserted at every leaf.
-        self.length_bound = len(self.ground_lits) + sum(
-            len(specs) * nind ** m for m, specs in self.clause_specs)
 
     @property
     def instances(self) -> List[Tuple[int, ...]]:
@@ -282,25 +345,6 @@ class CompiledKb:
             self._instances = [tuple(instantiate(specs, tau))
                                for specs, tau in self.jobs]
         return self._instances
-
-    @staticmethod
-    def _mentions_equality(kb: KnowledgeBase) -> bool:
-        if any(isinstance(l.atom, Eq) for l in kb.literals):
-            return True
-        return any(isinstance(d.atom, Eq)
-                   for cl in kb.clauses for d in cl.disjuncts)
-
-    def encode(self, lit: Literal, ind_ix, sym1_ix, sym3_ix) -> int:
-        a = lit.atom
-        neg = 0 if lit.positive else 1
-        if isinstance(a, Eq):
-            kind, sym, ai, bi = KIND_EQ, 0, ind_ix[a.left], ind_ix[a.right]
-        elif isinstance(a, Member1):
-            kind, sym, ai, bi = KIND_IN1, sym1_ix[a.set1], ind_ix[a.elem], 0
-        else:
-            kind, sym, ai, bi = (KIND_IN3, sym3_ix[a.set3], ind_ix[a.first],
-                                 ind_ix[a.second])
-        return self.pack(kind, sym, ai, bi, neg)
 
     def pack(self, kind: int, sym: int, a: int, b: int, neg: int) -> int:
         """The literal integer of ``(kind, sym, a, b)`` with polarity bit
@@ -964,20 +1008,25 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
 
     # Root: the ground conjuncts.  A contradictory pair or a negated
     # trivial equality closes the single starting branch outright.
+    # keg marks each literal on its flags as it reads it.
     root_closed = False
-    bset = set()
-    for l in comp.ground_lits:
-        if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
-            root_closed = True
-        if l not in bset:
-            bset.add(l)
-            order.append(l)
-            if has_eq and l in eq_pos:
-                eqlits.append(divmod(l >> 2, kdim))
-    if marks:  # keg moves the root branch onto its flags
-        for l in order:
-            on[l] = True
-        bset = None
+    if marks:
+        for l in comp.ground_lits:
+            if on[l ^ 1] or (has_eq and l in neg_eq_diag):
+                root_closed = True
+            if not on[l]:
+                on[l] = True
+                order.append(l)
+    else:
+        bset = set()
+        for l in comp.ground_lits:
+            if (l ^ 1) in bset or (has_eq and l in neg_eq_diag):
+                root_closed = True
+            if l not in bset:
+                bset.add(l)
+                order.append(l)
+    if has_eq:
+        eqlits += [divmod(l >> 2, kdim) for l in order if l in eq_pos]
 
     limited = None
     leaf = True if root_closed else None  # True closed, False open

@@ -929,16 +929,21 @@ class TestModelBuilder:
 
     def _branch(self, text, lits, sigma_items=()):
         """A model builder and one hand-built packed branch."""
-        from fourlqs.engine import CompiledKb
-        kb = parse_kb(text)
-        comp = CompiledKb(kb)
-        ind_ix = {v: i for i, v in enumerate(comp.inds)}
-        sym1_ix = {v: 1 + i for i, v in enumerate(comp.set1s)}
-        sym3_ix = {v: 1 + len(comp.set1s) + i
-                   for i, v in enumerate(comp.set3s)}
-        return ModelBuilder(comp), (
-            tuple(comp.encode(l, ind_ix, sym1_ix, sym3_ix) for l in lits),
-            sigma_items)
+        from fourlqs.engine import KIND_EQ, KIND_IN1, KIND_IN3, CompiledKb
+        comp = CompiledKb(parse_kb(text))
+        ind = comp.inds.index
+
+        def pack(lit):
+            a, neg = lit.atom, 0 if lit.positive else 1
+            if isinstance(a, Eq):
+                return comp.pack(KIND_EQ, 0, ind(a.left), ind(a.right), neg)
+            if isinstance(a, Member1):
+                return comp.pack(KIND_IN1, 1 + comp.set1s.index(a.set1),
+                                 ind(a.elem), 0, neg)
+            return comp.pack(KIND_IN3, 1 + comp.n1 + comp.set3s.index(a.set3),
+                             ind(a.first), ind(a.second), neg)
+
+        return ModelBuilder(comp), (tuple(map(pack, lits)), sigma_items)
 
     def test_complementary_pair_rejected(self):
         a_in = Literal(True, Member1(var0("a"), var1("A")))
@@ -1150,6 +1155,96 @@ class TestKegResume:
             finally:
                 tracemalloc.stop()
         assert peaks["keg"] < peaks["ke"], peaks
+
+
+# Shapes the random KBs rarely or never draw, each named by what it has.
+ENCODING_EDGE_KBS = {
+    "no-individuals": "clause (forall z) (or (in z A) (rel z z R) "
+                      "(not (eq z z)))\n",
+    "empty": "",
+    "free-individual": "ind a b\nlit (in b A)\n"
+                       "clause (forall z) (or (rel a z R) (in z A) (eq z b))\n",
+    "rel-z-z": "ind a b\nclause (forall z) (or (rel z z R))\n",
+    "eq-only-in-clause": "ind a b c\nlit (in a A)\n"
+                         "clause (forall z1 z2) (or (eq z1 z2) (not (in z2 A)))\n",
+    "unused-quantifier": "ind a b\nclause (forall z1 z2 z3) (or (in z2 A))\n",
+}
+
+
+def _encoding_kbs():
+    from fourlqs.bench import BenchConfig, gen_family
+    rng = random.Random("encoding")
+    texts = [gen_random_kb(rng, max_individuals=3, max_clauses=5,
+                           max_quantifiers=2, max_ground=6)
+             for _ in range(300)]
+    texts += [gen_family(BenchConfig(individuals=n, clauses=1))
+              for n in (1, 2, 3)]
+    texts += ENCODING_EDGE_KBS.values()
+    return [parse_kb(t) for t in texts] + [_ontology_kb()]
+
+
+class TestEncoding:
+    def test_fields_match_their_definitions(self):
+        """Every field of ``CompiledKb`` that the engines read, against a
+        derivation from the KB's literals and clauses that shares no
+        code with the compile: ``decode`` is the encoding's inverse and
+        ``apply_substitution`` the reference grounding."""
+        from fourlqs.engine import CompiledKb
+        kbs = _encoding_kbs()
+        assert sum(any(isinstance(d.atom, Eq) for d in cl.disjuncts)
+                   and not any(isinstance(l.atom, Eq) for l in kb.literals)
+                   for kb in kbs for cl in kb.clauses) >= 10
+        for kb in kbs:
+            comp = CompiledKb(kb)
+            inds = kb.var0_order
+            nind = len(inds)
+            assert [comp.decode(l) for l in comp.ground_lits] == \
+                list(kb.literals)
+
+            # Jobs run through the clauses in KB order and, per clause,
+            # through every tau over the individual positions, ascending.
+            at = 0
+            for ci, cl in enumerate(kb.clauses):
+                m = len(cl.quantified)
+                specs = comp.clause_specs[ci]
+                assert specs[0] == m
+                taus = [tau for s, tau in comp.jobs[at:at + nind ** m]]
+                assert all(s is specs[1]
+                           for s, _ in comp.jobs[at:at + nind ** m])
+                assert len(taus) == nind ** m
+                assert all(len(tau) == m and all(0 <= t < nind for t in tau)
+                           for tau in taus)
+                assert all(x < y for x, y in zip(taus, taus[1:]))
+                for tau in taus:
+                    s = substitution0({z: inds[t]
+                                       for z, t in zip(cl.quantified, tau)})
+                    assert [comp.decode(l)
+                            for l in comp.instantiate(specs[1], tau)] == \
+                        [apply_substitution(d, s) for d in cl.disjuncts]
+                at += nind ** m
+            assert at == len(comp.jobs)
+
+            has_eq = any(isinstance(l.atom, Eq) for l in kb.literals) or any(
+                isinstance(d.atom, Eq)
+                for cl in kb.clauses for d in cl.disjuncts)
+            assert comp.has_eq is has_eq
+            k = max(nind, 1)
+            nkeys = (k * k if has_eq else 0) + (len(kb.var1_order) * k
+                                                + len(kb.var3_order) * k * k)
+            assert comp.nmarks == 4 * nkeys - 1
+            # With no individual there is no literal to decode.
+            eqs = [(l, comp.decode(l).atom) for l in range(0, 4 * nkeys, 4)
+                   if nind and isinstance(comp.decode(l).atom, Eq)]
+            assert len(eqs) == (nind * nind if has_eq else 0)
+            assert type(comp.eq_pos) is frozenset
+            assert comp.eq_pos == {l for l, a in eqs if a.left is not a.right}
+            assert type(comp.neg_eq_diag) is frozenset
+            assert comp.neg_eq_diag == {l + 1 for l, a in eqs
+                                        if a.left is a.right}
+            assert comp.eq_marked == comp.eq_pos | comp.neg_eq_diag
+            assert comp.length_bound == len(kb.literals) + sum(
+                len(cl.disjuncts) * nind ** len(cl.quantified)
+                for cl in kb.clauses)
 
 
 class TestPaperOrdering:

@@ -39,7 +39,9 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-branches", type=int, default=None)
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel subtree workers (capped by REASONER_THREADS)")
+                   help="parallel subtree workers, forked only for a tree "
+                        "a serial probe of about 27 ms does not finish "
+                        "(capped by REASONER_THREADS)")
 
 
 def _options(args, collect: bool) -> EngineOptions:

@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import xor
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (Eq, FourlqsError, KnowledgeBase, Literal, Member1,
                    Member3, PreconditionError, Substitution, substitution0)
@@ -768,9 +768,33 @@ class _MergeCache:
         return hit
 
 
-class ProbeExpired(Exception):
-    """Raised by :func:`_run` at the first leaf after its ``probe``
-    deadline; what the run gathered until then is discarded."""
+# A run with a ``poll`` calls it once per this many counted leaves.
+POLL_LEAVES = 128
+
+
+def _guiding_paths(stack, most: int) -> List[Tuple[int, ...]]:
+    """Take up to ``most`` of the shallowest entries off :func:`_run`'s
+    ``stack`` and return each as a guiding path: the script that replays
+    the splits from the root to the entry's split and enters its
+    complement child (see ``script`` in :func:`_run`).
+
+    Every entry is the complement child of a split on the current path,
+    and an entry is on the stack exactly while the path is in that
+    split's fulfilling child.  So the path of an entry at depth ``d`` has
+    a 0 at each depth below ``d`` that has an entry and a 1 at every
+    other, then a final 1.  Depths rise strictly from the bottom of the
+    stack, so the shallowest entries are its first and each path extends
+    the one before.
+    """
+    paths = []
+    prefix: List[int] = []
+    for entry in stack[:most]:
+        depth = entry[5]
+        prefix += [1] * (depth - len(prefix) - 1)
+        paths.append(tuple(prefix) + (1,))
+        prefix.append(0)
+    del stack[:most]
+    return paths
 
 
 def _keg_select(comp: CompiledKb, on):
@@ -832,7 +856,7 @@ def _keg_select(comp: CompiledKb, on):
 def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
          script: Optional[Sequence[int]] = None,
          deadline: Optional[float] = None,
-         probe: Optional[float] = None):
+         poll: Optional[Callable[[list, int], bool]] = None):
     """Depth-first saturation.  Returns raw counts, stats and collected
     branch encodings; wrapped by :func:`saturate` and :mod:`.parallel`.
 
@@ -862,10 +886,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     The other policies carry ``None`` and re-select in the child.
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
-    child, 1 = complement child); while replaying, counters and leaves
-    are only attributed to this run if the remaining script is all zeros,
-    so a partitioned parallel run counts every node exactly once.  A
-    replayed complement child has no entry and selects.
+    child, 1 = complement child), such as a guiding path taken off
+    another run's stack (see :func:`_guiding_paths`); while replaying,
+    counters and leaves are only attributed to this run if the remaining
+    script is all zeros, so a partitioned parallel run counts every node
+    exactly once.  A replayed complement child has no entry and selects.
 
     A complete branch with an equality goes through the equality phase.
     It keeps the last merged leaf's rewrite of the trail, with the
@@ -881,8 +906,14 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
 
     ``deadline`` is the absolute ``perf_counter`` reading at which
     ``opts.max_seconds`` runs out; every split and every counted leaf
-    reads it.  ``probe``, also absolute, is read at the same points and
-    raises :class:`ProbeExpired` once it has passed.
+    reads it.  ``poll`` is called at every ``POLL_LEAVES``-th counted
+    leaf, before the leaf is counted, with the stack and the leaves
+    counted so far; no clock is read for it.  It may take entries off the
+    stack (see :func:`_guiding_paths`), and a true return stops the run
+    there, with that leaf uncounted and no limit named: :mod:`.parallel`
+    uses it for its serial probe and, past the probe, to merge what its
+    helpers send and to stop on a run-wide limit.  Like the limits, it
+    costs a serial run nothing.
     """
     jobs = comp.jobs
     njobs = len(jobs)
@@ -936,17 +967,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     counting = suffix_zero[0]
 
     max_branches = opts.max_branches
-    timed = deadline is not None or probe is not None
-    limits = timed or max_branches is not None
+    timed = deadline is not None
+    limits = timed or max_branches is not None or poll is not None
     time_limit = f"time limit {opts.max_seconds}s exceeded"
-
-    def out_of_time() -> bool:
-        now = perf_counter()
-        if deadline is not None and now > deadline:
-            return True
-        if probe is not None and now > probe:
-            raise ProbeExpired
-        return False
+    countdown = POLL_LEAVES
 
     # Universal clauses on the branch; ke's up-front grounding replaces
     # them.
@@ -1040,9 +1064,15 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                             and nopen + nclosed >= max_branches):
                         limited = f"branch limit {max_branches} reached"
                         break
-                    if timed and out_of_time():
+                    if timed and perf_counter() > deadline:
                         limited = time_limit
                         break
+                    if poll is not None:
+                        countdown -= 1
+                        if not countdown:
+                            countdown = POLL_LEAVES
+                            if poll(stack, nopen + nclosed):
+                                break
                 n = len(order)
                 if n > peak_lits:
                     peak_lits = n
@@ -1152,7 +1182,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             continue
         # Split: enter the fulfilling child (the disjunct itself, next
         # job) and leave the complement child (same job) on the stack.
-        if timed and out_of_time():
+        if timed and perf_counter() > deadline:
             limited = time_limit
             break
         if counting:

@@ -1,19 +1,29 @@
 """Worker-parallel saturation.
 
-A run starts with a short serial probe.  A tree that finishes, or trips
-a limit, inside it is returned as that serial result, so small KBs never
-start a process and their limits mean exactly what they mean serially.
+A run starts as a serial run in the parent, the probe, which
+:func:`~fourlqs.engine._run` calls back every ``POLL_LEAVES`` counted
+leaves.  A tree that finishes, or trips a limit, within
+``PROBE_SECONDS`` is returned as that serial result, so it never starts
+a process and its limits mean exactly what they mean serially.
 
-Past the probe the tree is partitioned by split-decision prefixes
-("scripts"): a script of length L routes the first L splits, and the
-process running it owns exactly the nodes whose remaining script is all
-zeros, so counters and leaves are attributed once.  The parent forks
-``workers - 1`` helpers, which inherit the compiled KB, and works on
-scripts itself.  Every process takes script indices from one pre-filled
-pipe; each helper streams one length-prefixed pickle frame per finished
-script on a pipe of its own, then an empty final frame, and exits.  The
-frames merge into the same counts, statistics and (normalised) branch
-list a serial run produces.
+At the first poll past the probe with work pending, the parent hands
+over the shallowest entries of its stack as guiding paths, as in PSATO
+(Zhang, Bonacina & Hsiang 1996): the split decisions from the root to
+each entry's complement child.  It takes at most eight per process and,
+when its stack holds fewer, extends each path by fixed suffixes, so that
+every process has about eight "scripts" to draw from.  A
+script of length L routes the first L splits, and the process running
+it owns exactly the nodes whose remaining script is all zeros; a path
+ends in a 1, so no script counts a node the probe has counted, and none
+starts from the root's empty path.  The parent forks ``workers - 1``
+helpers, which inherit the compiled KB and the scripts, carries on with
+the deeper rest of its own stack, then takes scripts as a helper does.
+Every process takes script indices from one pre-filled pipe; each helper
+streams one length-prefixed pickle frame per finished script on a pipe
+of its own, then an empty final frame, and exits.  The parent reads the
+frames at every poll, so no helper waits on a full pipe, and they merge
+with its own work into the same counts, statistics and (normalised)
+branch list a serial run produces.
 
 Without ``os.fork`` the run is serial from start to end.
 """
@@ -25,18 +35,24 @@ import pickle
 import selectors
 import signal
 import struct
-import time
 import traceback
-from typing import List, Optional, Tuple
+from time import perf_counter
+from typing import List, Optional, Sequence, Tuple
 
 from .core import FourlqsError
-from .engine import EngineStats, ProbeExpired, _run
+from .engine import EngineStats, _guiding_paths, _run
 
-# Forking a helper, reading one frame from it and reaping it took a
-# median 2.5 ms from an 18 MB parent and 3.2 ms from a 35 MB one (2-vCPU
-# x86-64, Python 3.11): a tree the parent finishes in about that long
-# gains nothing from helpers.
-PROBE_SECONDS = 0.003
+# Forking a helper blocks the parent for a median 0.95 ms, and the helper
+# starts running 2.4 ms after the fork (medians of 40 forks from an 18 MB
+# parent, 2-vCPU x86-64, Python 3.11.7): about 3.4 ms.  The probe runs
+# eight times that, so a fork that gains nothing, in a tree that ends
+# just past the probe, costs at most about an eighth of the run, and a
+# tree that ends inside the probe never forks.
+PROBE_SECONDS = 0.027
+
+# The queue is filled before any reader exists, so it holds at most the
+# one-page buffer the smallest pipe has: 2,048 two-byte indices.
+MAX_SCRIPTS = 2048
 
 _INDEX = struct.Struct("<H")   # one script index in the shared queue
 _LENGTH = struct.Struct("<Q")  # frame length; 0 is the final frame
@@ -47,18 +63,20 @@ class HelperLostError(FourlqsError):
     were never reported and the merged counts would be partial."""
 
 
-def _scripts(workers: int) -> List[Tuple[int, ...]]:
-    # Subtree sizes are uneven (one of 8 scripts held 43% of the leaves
-    # of the 4-individual product KB), so each process gets about eight
-    # to draw from; every script also replays its prefix from the root.
-    # At most 2,048 two-byte indices: the queue fits the one-page buffer
-    # the smallest pipe has, so filling it before any reader exists
-    # cannot block.
-    depth = 1
-    while (1 << depth) < 8 * workers and depth < 11:
+def _scripts(paths: Sequence[Tuple[int, ...]],
+             workers: int) -> List[Tuple[int, ...]]:
+    """Each path extended by every suffix of the shortest length that
+    gives about eight scripts per process, and no more than
+    ``MAX_SCRIPTS`` in all (``len(paths)`` is at most that).  Subtree
+    sizes are uneven (one of 8 scripts held 43% of the leaves of the
+    4-individual product KB), so each process gets several to draw from.
+    """
+    depth = 0
+    while (len(paths) << depth < 8 * workers
+           and len(paths) << (depth + 1) <= MAX_SCRIPTS):
         depth += 1
-    return [tuple((i >> b) & 1 for b in range(depth - 1, -1, -1))
-            for i in range(1 << depth)]
+    return [path + tuple((i >> b) & 1 for b in range(depth - 1, -1, -1))
+            for path in paths for i in range(1 << depth)]
 
 
 def _take(queue: int):
@@ -119,10 +137,17 @@ class _Merge:
         stats.peak_resident_formulae = max(stats.peak_resident_formulae,
                                            w_stats.peak_resident_formulae)
         self.collected.extend(w_collected)
-        leaves = counts["open"] + counts["closed"]
         if w_limited:
             self.limited = w_limited
-        elif self.max_branches is not None and leaves > self.max_branches:
+        else:
+            self.check(0)
+
+    def check(self, running: int) -> None:
+        """Trip the branch limit if the merged leaves and the ``running``
+        ones of a run not yet merged pass it."""
+        if (self.max_branches is not None
+                and self.counts["open"] + self.counts["closed"] + running
+                > self.max_branches):
             self.limited = f"branch limit {self.max_branches} reached"
 
     def result(self):
@@ -157,37 +182,25 @@ def _pump(helpers: selectors.BaseSelector, merge: _Merge,
                 return
 
 
-def run_parallel(comp, engine: str, opts, workers: int,
-                 deadline: Optional[float]):
-    """Explore the tableau with ``workers`` processes; same totals as
-    serial.
+class _Parent:
+    """The parent's side of a run past the probe: the helpers, the queue
+    of scripts they and the parent draw from, and the merge of all their
+    results."""
 
-    Limits are run-wide: ``deadline`` is the absolute ``perf_counter``
-    reading at which ``opts.max_seconds`` runs out, shared by every
-    process (the clock is system-wide), and every helper is killed and
-    reaped as soon as a script trips a limit or the merged leaf count
-    passes ``max_branches``.  Each script still gets the whole branch budget,
-    so a run that trips past the probe may report up to twice
-    ``max_branches`` leaves.  Which leaves such a run has counted depends
-    on when each helper is killed, so its partial counts, statistics and
-    branches can differ from one run to the next; a run that trips no
-    limit, and one that trips inside the probe, always reports the same.
-    """
-    try:
-        return _run(comp, opts, engine, deadline=deadline,
-                    probe=time.perf_counter() + PROBE_SECONDS
-                    if hasattr(os, "fork") else None)
-    except ProbeExpired:
-        pass
+    def __init__(self, comp, engine: str, opts, deadline: Optional[float]):
+        self.comp, self.engine, self.opts = comp, engine, opts
+        self.deadline = deadline
+        self.merge = _Merge(opts.max_branches)
+        self.helpers = selectors.DefaultSelector()  # data: [pid, unread]
+        self.scripts: List[Tuple[int, ...]] = []
+        self.queue: Optional[int] = None
 
-    scripts = _scripts(workers)
-    queue, fill = os.pipe()
-    os.write(fill, b"".join(_INDEX.pack(i) for i in range(len(scripts))))
-    os.close(fill)  # readers see the end of the queue once it is empty
-    helpers = selectors.DefaultSelector()  # data: [pid, unread bytes]
-    merge = _Merge(opts.max_branches)
-    try:
-        for _ in range(min(workers, len(scripts)) - 1):
+    def fork(self, paths, workers: int) -> None:
+        self.scripts = scripts = _scripts(paths, workers)
+        self.queue, fill = os.pipe()
+        os.write(fill, b"".join(_INDEX.pack(i) for i in range(len(scripts))))
+        os.close(fill)  # readers see the end of the queue once it is empty
+        for _ in range(min(workers - 1, len(scripts))):
             fd, out = os.pipe()
             try:
                 pid = os.fork()
@@ -196,23 +209,93 @@ def run_parallel(comp, engine: str, opts, workers: int,
                 os.close(out)
                 break
             if pid == 0:
-                _helper(comp, engine, opts, scripts, deadline, queue, out)
+                _helper(self.comp, self.engine, self.opts, scripts,
+                        self.deadline, self.queue, out)
             os.close(out)
-            helpers.register(fd, selectors.EVENT_READ, [pid, bytearray()])
-        for i in _take(queue):
-            merge.add(_run(comp, opts, engine, script=scripts[i],
-                           deadline=deadline))
-            if not merge.limited:
-                _pump(helpers, merge, 0)
-            if merge.limited:
-                break
-        while helpers.get_map() and not merge.limited:
-            _pump(helpers, merge, None)
-    finally:
-        os.close(queue)
-        for key in list(helpers.get_map().values()):
+            self.helpers.register(fd, selectors.EVENT_READ,
+                                  [pid, bytearray()])
+
+    def poll(self, stack: list, leaves: int) -> bool:
+        """A parent's run's ``poll`` past the probe: merge what the
+        helpers have sent, and stop the run once the run as a whole is
+        over a limit."""
+        merge = self.merge
+        # The frames merged so far and this run's leaves stay within the
+        # branch limit, so one more frame can at most double it.
+        merge.check(leaves)
+        if not merge.limited:
+            _pump(self.helpers, merge, 0)
+        return merge.limited is not None
+
+    def finish(self, first):
+        """Merge the parent's first run, run scripts from the queue
+        until it is empty, and merge every helper's frames."""
+        comp, engine, opts, deadline = (self.comp, self.engine, self.opts,
+                                        self.deadline)
+        merge = self.merge
+        merge.add(first)
+        if not merge.limited:
+            for i in _take(self.queue):
+                merge.add(_run(comp, opts, engine, script=self.scripts[i],
+                               deadline=deadline, poll=self.poll))
+                if not merge.limited:
+                    _pump(self.helpers, merge, 0)
+                if merge.limited:
+                    break
+        while self.helpers.get_map() and not merge.limited:
+            _pump(self.helpers, merge, None)
+        return merge.result()
+
+    def close(self) -> None:
+        if self.queue is not None:
+            os.close(self.queue)
+        for key in list(self.helpers.get_map().values()):
             os.kill(key.data[0], signal.SIGKILL)
             os.waitpid(key.data[0], 0)
             os.close(key.fd)
-        helpers.close()
-    return merge.result()
+        self.helpers.close()
+
+
+def run_parallel(comp, engine: str, opts, workers: int,
+                 deadline: Optional[float]):
+    """Explore the tableau with ``workers`` processes; same totals as
+    serial.
+
+    A tree that finishes or trips a limit inside the probe gets the
+    serial run's result and starts no process.  Past the probe, limits
+    are run-wide: ``deadline`` is the absolute ``perf_counter`` reading
+    at which ``opts.max_seconds`` runs out, shared by every process (the
+    clock is system-wide), and every helper is killed and reaped as soon
+    as a script trips a limit or the merged leaf count passes
+    ``max_branches``.  Each script still gets the whole branch budget,
+    so a run that trips past the probe may report up to twice
+    ``max_branches`` leaves.  Which leaves such a run has counted depends
+    on when each helper is killed, so its partial counts, statistics and
+    branches can differ from one run to the next; a run that trips no
+    limit, and one that trips inside the probe, always reports the same.
+    """
+    if not hasattr(os, "fork"):
+        return _run(comp, opts, engine, deadline=deadline)
+    expires = perf_counter() + PROBE_SECONDS
+    parent = None
+
+    def probe(stack: list, leaves: int) -> bool:
+        # The first run's poll: the clock until the probe expires with
+        # work pending, then the hand-over, then the parent's.
+        nonlocal parent
+        if parent is not None:
+            return parent.poll(stack, leaves)
+        if stack and perf_counter() > expires:
+            # Bound before forking, so the ``finally`` below also reaps
+            # the helpers of a hand-over that fails part way.
+            parent = _Parent(comp, engine, opts, deadline)
+            parent.fork(_guiding_paths(stack, min(8 * workers, MAX_SCRIPTS)),
+                        workers)
+        return False
+
+    try:
+        first = _run(comp, opts, engine, deadline=deadline, poll=probe)
+        return first if parent is None else parent.finish(first)
+    finally:
+        if parent is not None:
+            parent.close()

@@ -435,7 +435,10 @@ def _assert_no_children():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The number of helpers forked while the test runs."""
+    """The number of helpers forked while the test runs.  The probe
+    expires at once, so a run forks at its first poll with work pending."""
+    from fourlqs import parallel
+    monkeypatch.setattr(parallel, "PROBE_SECONDS", 0)
     calls = []
     real_fork = os.fork
 
@@ -563,6 +566,133 @@ class TestForkedParallel:
                                                       collect_branches=False))
         assert forks
         _assert_no_children()
+
+
+class TestProbeHandOver:
+    """When the probe expires, its pending stack becomes guiding paths:
+    nothing it counted is counted again, and no run replays from the
+    root."""
+
+    @staticmethod
+    def _fields(res):
+        s = res.stats
+        return (res.open_count, res.closed_count, s.rule_apps, s.pb_apps,
+                s.gamma_apps, s.peak_stack_depth, s.peak_branch_literals,
+                s.peak_resident_formulae, res.packed)
+
+    def test_paths_follow_the_stack(self):
+        from fourlqs.engine import _guiding_paths
+        # Entries at depths 2, 3 and 6: the path took the complement child
+        # at depths 1, 4 and 5 and the fulfilling child at 2, 3 and 6.
+        stack = [(0, 0, 0, 0, 0, depth, None) for depth in (2, 3, 6)]
+        assert _guiding_paths(stack, 2) == [(1, 1), (1, 0, 1)]
+        assert [entry[5] for entry in stack] == [6]
+        stack = [(0, 0, 0, 0, 0, depth, None) for depth in (2, 3, 6)]
+        assert _guiding_paths(stack, 8)[-1] == (1, 0, 0, 1, 1, 1)
+        assert stack == []
+
+    @pytest.mark.parametrize("engine", ["keg", "ke", "foke"])
+    @pytest.mark.parametrize("kb", ["product", "ontology"])
+    def test_probe_work_is_kept(self, forks, monkeypatch, tmp_path, engine,
+                                kb):
+        """Every ``_run`` of the parent and of its helpers logs its script
+        length (-1 for none) and counts.  The probe's run counts at least
+        a poll's worth of leaves, every other run replays a non-empty
+        path, and together they count the serial run's leaves once; the
+        merged result equals serial in every field."""
+        from fourlqs import parallel
+        from fourlqs.engine import POLL_LEAVES
+        log = tmp_path / "runs.txt"
+        log.write_text("")
+        real_run = parallel._run
+
+        def logged_run(*args, script=None, **kwargs):
+            result = real_run(*args, script=script, **kwargs)
+            counts = result[0]
+            line = (f"{-1 if script is None else len(script)} "
+                    f"{counts['open']} {counts['closed']}\n")
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+            try:
+                os.write(fd, line.encode())
+            finally:
+                os.close(fd)
+            return result
+
+        monkeypatch.setattr(parallel, "_run", logged_run)
+        kb = _paper_kb(NOT_AB) if kb == "product" else _ontology_kb()
+        serial = saturate(kb, engine=engine)
+        res = saturate(kb, EngineOptions(workers=2), engine=engine)
+        runs = [tuple(map(int, line.split()))
+                for line in log.read_text().splitlines()]
+        probe = [run for run in runs if run[0] < 0]
+        assert forks and len(probe) == 1
+        assert probe[0][1] + probe[0][2] >= POLL_LEAVES
+        assert len(runs) > 1 and all(run[0] != 0 for run in runs)
+        assert sum(run[1] for run in runs) == serial.open_count
+        assert sum(run[2] for run in runs) == serial.closed_count
+        assert self._fields(res) == self._fields(serial)
+        _assert_no_children()
+
+    def test_deep_stack_hands_over_its_shallowest_entries(self, forks,
+                                                          monkeypatch):
+        """60 individuals: the probe's first poll finds a stack thousands
+        deep, and only ``8 * workers`` entries of it become paths."""
+        from fourlqs import parallel
+        seen = []
+        real = parallel._guiding_paths
+
+        def recording(stack, most):
+            depth = len(stack)
+            paths = real(stack, most)
+            seen.append((depth, len(stack), len(paths)))
+            return paths
+
+        monkeypatch.setattr(parallel, "_guiding_paths", recording)
+        kb = parse_kb("ind " + " ".join(f"i{j}" for j in range(60)) + "\n"
+                      "clause (forall z1 z2) (or (rel z1 z2 R) "
+                      "(rel z2 z1 S))\n")
+        with pytest.raises(ResourceLimitError, match="branch limit") as err:
+            saturate(kb, EngineOptions(workers=2, max_branches=1000,
+                                       collect_branches=False))
+        [(depth, left, paths)] = seen
+        assert depth > 1000 and paths == 16 and left == depth - 16
+        partial = err.value.partial
+        assert 1000 <= partial.open_count + partial.closed_count <= 2000
+        assert forks
+        _assert_no_children()
+
+    def test_probe_reads_the_clock_once_per_poll(self, monkeypatch):
+        """A probe that does not expire reads the clock once at its start
+        and at most once per poll; ``max_seconds`` still reads it at every
+        split and every leaf."""
+        from fourlqs import parallel
+        from fourlqs.engine import POLL_LEAVES
+        real = engine_module.perf_counter
+        reads = []
+
+        def clock():
+            reads.append(1)
+            return real()
+
+        monkeypatch.setattr(engine_module, "perf_counter", clock)
+        monkeypatch.setattr(parallel, "perf_counter", clock)
+        monkeypatch.setattr(parallel, "PROBE_SECONDS", 3600.0)
+        kb = _paper_kb(NOT_AB)
+        res = saturate(kb, EngineOptions(workers=2, collect_branches=False))
+        leaves = res.open_count + res.closed_count
+        # saturate's start and wall time, the probe's start, the polls.
+        assert 3 < len(reads) <= 3 + leaves // POLL_LEAVES
+        for workers in (1, 2):
+            reads.clear()
+            res = saturate(kb, EngineOptions(workers=workers,
+                                             max_seconds=3600.0,
+                                             collect_branches=False))
+            splits_and_leaves = res.stats.pb_apps + leaves
+            if workers == 1:
+                # Also the deadline's start.
+                assert len(reads) == 3 + splits_and_leaves
+            else:
+                assert len(reads) > 4 + splits_and_leaves
 
 
 # Merging b and c into a turns (not (eq b c)) into a negated x=x, which
@@ -1094,7 +1224,7 @@ class TestKegResume:
         opts = EngineOptions()
         for engine in ("keg", "ke", "foke"):
             merge = _Merge(None)
-            for script in _scripts(2):
+            for script in _scripts([()], 2):
                 merge.add(_run(comp, opts, engine, script=script))
             counts, stats, packed, limited = merge.result()
             serial = _run(comp, opts, engine)

@@ -86,7 +86,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import xor
+from operator import ne
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -435,6 +435,65 @@ class Branch:
         return f"Branch({', '.join(map(repr, self.literals))})"
 
 
+# The widest prefix state, in bits, a merge map keeps at every position
+# of its last branch.  A wider state -- a literal space past about a
+# thousand keys -- is kept every ``1 + width // STATE_BITS`` positions,
+# so a map's states take about STATE_BITS / 8 bytes per literal of its
+# last branch, whatever the literal space.
+STATE_BITS = 1 << 12
+
+# The most digits an extent memo's keys may hold before it starts afresh.
+# Only a set of some thousand keys -- a relation over dozens of
+# individuals -- reaches it: the product KB at four individuals keys a
+# relation's memo by 16 digits.
+EXTENT_MEMO_DIGITS = 1 << 20
+
+
+class _ExtentMemo(dict):
+    """One set's extent texts under one merge map, keyed by the set's
+    member digits (see :class:`ModelBuilder`); an entry is laid out on
+    first sight.  ``layout`` is whether the set is a set1, the merge map,
+    the individuals' name ranks and quoted names, and k."""
+
+    __slots__ = ("layout",)
+
+    def __missing__(self, members: str) -> str:
+        """The JSON text inside the extent's brackets.  ``members`` holds
+        a hex digit per key of the set, the last for its first key, that
+        is 1 for a key on the branch: an individual, or a pair of them,
+        rewritten through the merge map.  Sorted by name rank and
+        deduplicated."""
+        if len(self) * len(members) >= EXTENT_MEMO_DIGITS:
+            self.clear()
+        set1, sigma_map, rank, quoted, k = self.layout
+        flags = members[::-1]  # flags[i] is "1" for the set's i-th key
+        frags = {}
+        i = flags.find("1")
+        while i >= 0:
+            if set1:
+                a = sigma_map.get(i, i)
+                frags[rank[a]] = quoted[a]
+            else:
+                a, b = divmod(i, k)
+                a = sigma_map.get(a, a)
+                b = sigma_map.get(b, b)
+                frags[rank[a] * k + rank[b]] = f"[{quoted[a]}, {quoted[b]}]"
+            i = flags.find("1", i + 1)
+        text = self[members] = ", ".join([frags[r] for r in sorted(frags)])
+        return text
+
+
+class _MapRender:
+    """What :class:`ModelBuilder` keeps for one merge map: its individuals
+    (``canon``), its instance count ``ninst`` with the instance mask
+    ``full`` and the literal field's first bit ``top``, the fulfilment
+    table, the last branch rendered and its prefix states, the extent
+    memos and the domain prefix."""
+
+    __slots__ = ("canon", "ninst", "full", "top", "fulfils", "last",
+                 "states", "extents", "prefix")
+
+
 class ModelBuilder:
     """Model reports rendered straight from packed branches as JSON text.
 
@@ -443,7 +502,7 @@ class ModelBuilder:
     model of the same branch: the merged individuals as domain, and per
     set variable (keys sorted) the sorted, deduplicated extent read off
     the positive membership literals.  It makes every check
-    ``extract_model`` makes, as set operations over the branch:
+    ``extract_model`` makes, as bit operations over the branch:
 
     * no complementary pair;
     * when the KB mentions equality, no negated x=x and no equality
@@ -457,18 +516,55 @@ class ModelBuilder:
     the instances, which are tried in clause-then-tau order, so the
     first unfulfilled one names the error.
 
+    Sorted branches are nearly all shared prefix, so the builder resumes,
+    as a DPLL(T) theory solver keeps its theory state on the trail.  Per
+    merge map it keeps the last branch it rendered and, for each prefix
+    position of that branch, the prefix's state: one integer holding the
+    mask of the clause instances the prefix fulfils in its low ``ninst``
+    bits and, above them, the mask of its literals, bit ``l`` for literal
+    ``l``.  A branch finds its common prefix with the last one (one
+    C-level ``map(ne, ...)``), takes that prefix's state and or's in, per
+    further literal, the literal's bit and the instances that hold it,
+    read from the map's fulfilment table.  So a branch costs the literals
+    past its common prefix -- on the product KBs, one literal in 7 to 12
+    of a sorted run -- and a branch rendered twice walks none.  A state
+    depends only on its prefix's literals, so any rendering order gives
+    the same text, and a branch that fails a check leaves valid states.
+
+    On the literal mask ``m`` the checks are bit operations.  A literal
+    and its complement take adjacent bits (bit 1 of a literal is always
+    clear), so ``m & (m >> 1)`` finds a complementary pair, and one mask
+    of the x=y between distinct individuals and the negated x=x finds the
+    equality faults.  An instance bit left clear is an unfulfilled
+    instance, the lowest one the first in clause-then-tau order.
+
     The text is the domain prefix, then the text of a model with every
-    extent empty, with each extent's members inserted just inside its
-    ``[``.  An extent member's key is that insertion offset, then the
-    name ranks of its individuals, so one sort of a branch's keys lays
-    out every extent; its JSON fragment is quoted once per builder.  Per
-    distinct merge map, the domain prefix and the clause instances are
-    built once, and a table from literal integer to key is filled as
-    literals are first seen.
+    extent empty, with each extent's text put just inside its ``[``.  A
+    key's four literal bits are one hex digit of ``m``, and a symbol's
+    keys are consecutive, so ``hex`` of ``m``'s positive member literals
+    holds every set's member mask as one slice of digits.  Each set has
+    a memo of extent texts keyed by that slice (:class:`_ExtentMemo`),
+    members in sorted name order and each JSON fragment quoted once; so
+    a branch costs one lookup per set extent, and a member set is laid
+    out once per merge map.
+
+    Sizes.  A state takes ``ninst`` plus ``4 * nkeys`` bits, and each
+    literal walked costs an ``or`` that wide.  A map keeps one state per
+    literal of its last branch; past ``STATE_BITS`` bits it keeps one
+    every few positions, so a map's states stay near 512 bytes per
+    literal whatever the literal space, and a branch walks at most that
+    many more literals from the kept state below its common prefix.
+    A memo holds one entry per distinct member set rendered under its map
+    (at most 2 to the power of the set's k or k*k keys), and starts afresh
+    once its keys hold ``EXTENT_MEMO_DIGITS`` digits.  The fulfilment
+    table holds one entry per literal of an instance.  Everything per
+    merge map -- domain prefix, fulfilment table, states and memos -- is
+    built when the map renders its first branch.
     """
 
-    __slots__ = ("comp", "_names", "_quoted", "_rank", "_kk", "_pos",
-                 "_empty", "_frag", "_more_frag", "_by_sigma")
+    __slots__ = ("comp", "_names", "_quoted", "_rank", "_n1", "_first_gap",
+                 "_fields", "_text", "_members", "_sentinel", "_eq_bad",
+                 "_every", "_by_sigma")
 
     def __init__(self, comp: CompiledKb):
         self.comp = comp
@@ -478,68 +574,70 @@ class ModelBuilder:
         # _rank[i] is the place of individual i's name in sorted order.
         order = sorted(range(len(names)), key=names.__getitem__)
         self._rank = sorted(range(len(names)), key=order.__getitem__)
-        self._kk = comp.kk
         # The text of a model after its domain prefix, with every extent
-        # empty: sets1 then sets3, each in sorted name order.  A set's
-        # position is the offset just inside its extent's "[", where its
-        # members go.
-        self._pos: List[int] = [0] * comp.nsym
-        parts, size = [], 0
-        n1 = len(comp.set1s)
-        for group, offset, close in ((comp.set1s, 1, '}, "sets3": {'),
-                                     (comp.set3s, 1 + n1, "}}")):
+        # empty, cut just inside each extent's "[": sets1 then sets3,
+        # each in sorted name order.  A key's four literal bits are one
+        # hex digit of a literal mask, so per extent in that order, the
+        # slice of the mask's hex text that holds its symbol's keys: the
+        # text is "0x1" and one digit per key, key i at ``end - 1 - i``.
+        k, n1 = comp.k, comp.n1
+        self._n1 = n1
+        gaps: List[str] = []
+        self._fields: List[slice] = []
+        end = 3 + comp.nkeys
+        gap = ""
+        for group, offset, close, width in (
+                (comp.set1s, 1, '}, "sets3": {', k),
+                (comp.set3s, 1 + n1, "}}", comp.kk)):
             sep = ""
             for name, sym in sorted([(v.name, offset + i)
                                      for i, v in enumerate(group)]):
-                head = sep + encode_basestring_ascii(name) + ": ["
-                self._pos[sym] = size + len(head)
-                parts.append(head + "]")
-                size += len(head) + 1
-                sep = ", "
-            parts.append(close)
-            size += len(close)
-        self._empty = "".join(parts)
-        self._frag: Dict[int, str] = {}
-        self._more_frag: Dict[int, str] = {}
-        self._by_sigma: Dict[Tuple, Tuple[str, List, List, Dict[int, int],
-                                         Dict[int, int]]] = {}
+                gaps.append(gap + sep + encode_basestring_ascii(name) + ": [")
+                key = comp.symkey[sym]
+                self._fields.append(slice(end - key - width, end - key))
+                gap, sep = "]", ", "
+            gap += close
+        gaps.append(gap)
+        self._first_gap = gaps[0]
+        # The text to fill in: the domain prefix and first gap, then each
+        # extent and the gap after it.
+        self._text: List[str] = [""] * (2 * len(gaps) - 1)
+        self._text[2::2] = gaps[1:]
+        # The positive literals of every set symbol's keys, then the bit
+        # that puts the "1" after "0x".
+        self._members = (((1 << 4 * (comp.nkeys - comp.base1)) - 1) // 15
+                         << 4 * comp.base1)
+        self._sentinel = 1 << 4 * comp.nkeys
+        # The bits of comp.eq_marked: each x = y with x, y distinct (the
+        # positive equality keys but the diagonal, every (k+1)-th from 0)
+        # and each negated x = x.
+        self._eq_bad = 0
+        if comp.eq_marked:
+            diagonal = (((1 << 4 * (k + 1) * k) - 1)
+                        // ((1 << 4 * (k + 1)) - 1))
+            self._eq_bad = (((1 << 4 * comp.kk) - 1) // 15 ^ diagonal
+                            | diagonal << 1)
+        # A state takes at most 4 * nkeys bits of literals and one bit per
+        # job, as no merge map has more instances than the KB has jobs.
+        self._every = 1 + (4 * comp.nkeys + len(comp.jobs)) // STATE_BITS
+        self._by_sigma: Dict[Tuple, _MapRender] = {}
 
-    def _key(self, sigma: Dict[int, int], lit_int: int) -> int:
-        """A literal's extent key under a merge map, or -1 for a negated
-        or equality literal.  The member's JSON fragment is recorded on
-        first sight."""
-        kind, sym, a, b = self.comp.fields(lit_int)
-        if lit_int & 1 or kind == KIND_EQ:
-            return -1
-        rank, quoted = self._rank, self._quoted
-        a = sigma.get(a, a)
-        key = self._pos[sym] * self._kk
-        if kind == KIND_IN1:
-            key += rank[a]
-            frag = quoted[a]
-        else:
-            b = sigma.get(b, b)
-            key += rank[a] * self.comp.k + rank[b]
-            frag = f"[{quoted[a]}, {quoted[b]}]"
-        if key not in self._frag:
-            self._frag[key] = frag
-            self._more_frag[key] = ", " + frag
-        return key
-
-    def _merged(self, sigma_items: Tuple[Tuple[int, int], ...]):
-        """The domain prefix, every clause instance over the merged
-        individuals with its (clause, tau) label, the merge map as a
-        dict, and the table from literal integer to extent key, for one
-        merge map."""
-        hit = self._by_sigma.get(sigma_items)
-        if hit is not None:
-            return hit
-        sigma_map = dict(sigma_items)
+    def _merged(self, sigma_items: Tuple[Tuple[int, int], ...]) -> _MapRender:
+        """The render state of one merge map, built on its first branch:
+        the fulfilment table over every clause instance on the merged
+        individuals, instance bits in clause-then-tau order; no branch
+        yet; an empty extent memo per set; and the domain prefix."""
         comp = self.comp
-        canon = list(dict.fromkeys(sigma_map.get(i, i)
-                                   for i in range(len(comp.inds))))
-        instances, labels = [], []
-        for cl, (m, specs) in zip(comp.kb.clauses, comp.clause_specs):
+        st = _MapRender()
+        sigma_map = dict(sigma_items)
+        inds = range(len(comp.inds))
+        st.canon = canon = list(dict.fromkeys(map(sigma_map.get, inds, inds)))
+        # Literal integer -> the mask of the instances that hold it.
+        st.fulfils = fulfils = {}
+        get = fulfils.get
+        astep = comp.astep
+        bit = 1
+        for m, specs in comp.clause_specs:
             merged = specs  # with no merges, the clause's own disjuncts
             if sigma_map:
                 merged = []
@@ -556,53 +654,76 @@ class ModelBuilder:
                     merged.append((comp.pack(kind, sym, a, b, const & 1),
                                    ia, ib))
             for tau in itertools.product(canon, repeat=m):
-                instances.append(comp.instantiate(merged, tau))
-                labels.append((cl, tau))
-        prefix = ('{"domain": [' + ", ".join([self._quoted[c] for c in canon])
-                  + '], "sets1": {')
-        hit = self._by_sigma[sigma_items] = (
-            prefix, instances, labels, sigma_map, {})
-        return hit
+                for l, ia, ib in merged:  # CompiledKb.instantiate, inlined
+                    if ia >= 0:
+                        l += tau[ia] * astep
+                    if ib >= 0:
+                        l += tau[ib] * 4
+                    fulfils[l] = get(l, 0) | bit
+                bit <<= 1
+        st.top = bit
+        st.full = bit - 1
+        st.ninst = bit.bit_length() - 1
+        st.last = ()
+        st.states = [0]
+        st.extents = extents = []
+        for i in range(len(self._fields)):
+            memo = _ExtentMemo()
+            memo.layout = (i < self._n1, sigma_map, self._rank, self._quoted,
+                           comp.k)
+            extents.append(memo)
+        st.prefix = ('{"domain": [' + ", ".join([self._quoted[c]
+                                                for c in canon])
+                     + '], "sets1": {' + self._first_gap)
+        self._by_sigma[sigma_items] = st
+        return st
 
     def render(self, lit_ints: Tuple[int, ...],
                sigma_items: Tuple[Tuple[int, int], ...]) -> str:
         """The model report text of one packed branch: its literal
-        integers and its merge map's sorted items."""
-        comp = self.comp
-        prefix, instances, labels, sigma_map, table = \
-            self._merged(sigma_items)
-        lits = set(lit_ints)
-        if not lits.isdisjoint(map(xor, lit_ints, itertools.repeat(1))) or (
-                comp.has_eq and not (lits.isdisjoint(comp.eq_pos)
-                                     and lits.isdisjoint(comp.neg_eq_diag))):
-            self._literal_fault(lit_ints, lits)
-        if any(map(lits.isdisjoint, instances)):
-            for (cl, tau), inst in zip(labels, instances):
-                if lits.isdisjoint(inst):
-                    raise PreconditionError(
-                        f"branch does not fulfill {cl!r} at "
-                        f"{[self._names[t] for t in tau]}")
-        keys = set(map(table.get, lit_ints))
-        if None in keys:  # a literal not yet seen under this merge map
-            for l in lit_ints:
-                if l not in table:
-                    table[l] = self._key(sigma_map, l)
-            keys = set(map(table.__getitem__, lit_ints))
-        keys.discard(-1)
-        kk, empty, frag, more_frag = (self._kk, self._empty, self._frag,
-                                      self._more_frag)
-        text = [prefix]
-        at = 0
-        for key in sorted(keys):
-            pos = key // kk
-            if pos == at:
-                text.append(more_frag[key])
-            else:
-                text.append(empty[at:pos])
-                text.append(frag[key])
-                at = pos
-        text.append(empty[at:])
+        integers, a tuple the builder keeps as its map's last branch, and
+        its merge map's sorted items."""
+        st = self._by_sigma.get(sigma_items)
+        if st is None:
+            st = self._merged(sigma_items)
+        last, every, states = st.last, self._every, st.states
+        common = 0
+        if last:
+            common = next(itertools.compress(itertools.count(),
+                                             map(ne, last, lit_ints)), None)
+            if common is None:
+                common = min(len(last), len(lit_ints))
+        start = common - common % every
+        del states[start // every + 1:]
+        state = states[-1]
+        top, fulfils = st.top, st.fulfils.get
+        for i, l in enumerate(lit_ints[start:], start + 1):
+            state |= top << l | fulfils(l, 0)
+            if not i % every:
+                states.append(state)
+        st.last = lit_ints
+        m = state >> st.ninst
+        if m & ((m >> 1) | self._eq_bad):
+            self._literal_fault(lit_ints, set(lit_ints))
+        if state & st.full != st.full:
+            self._unfulfilled(st, (~state & (state + 1)).bit_length() - 1)
+        digits = hex(m & self._members | self._sentinel)
+        text = self._text
+        text[0] = st.prefix
+        text[1::2] = map(dict.__getitem__, st.extents,
+                         map(digits.__getitem__, self._fields))
         return "".join(text)
+
+    def _unfulfilled(self, st: _MapRender, index: int) -> None:
+        """Raise for the clause instance at ``index`` in clause-then-tau
+        order over the merged individuals."""
+        comp = self.comp
+        labels = ((cl, tau) for cl, (m, _) in zip(comp.kb.clauses,
+                                                 comp.clause_specs)
+                  for tau in itertools.product(st.canon, repeat=m))
+        cl, tau = next(itertools.islice(labels, index, None))
+        raise PreconditionError(f"branch does not fulfill {cl!r} at "
+                                f"{[self._names[t] for t in tau]}")
 
     def _literal_fault(self, lit_ints: Tuple[int, ...], lits: set) -> None:
         """Raise for the first literal, in branch order, that closes the

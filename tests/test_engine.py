@@ -1115,6 +1115,142 @@ class TestModelBuilder:
             build.render(*br)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text,lits,sigma_items,message",
+                             [row[1:] for row in _ERROR_GOLDEN],
+                             ids=[row[0] for row in _ERROR_GOLDEN])
+    def test_builder_renders_after_an_error(self, text, lits, sigma_items,
+                                            message):
+        """A branch that fails a check leaves the builder's states valid:
+        the same builder renders the KB's branches as a fresh one does,
+        and the failing branch raises the same again."""
+        build, bad = self._branch(
+            text, [parse_kb("ind a b\nlit " + t).literals[0] for t in lits],
+            sigma_items)
+        res = saturate(parse_kb(text))
+        assert res.packed
+        fresh = _rendered_texts(res)
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as err:
+                build.render(*bad)
+            assert str(err.value) == message
+            assert [build.render(*br) for br in res.packed] == fresh
+
+    def test_repeated_literal(self):
+        """A literal twice on a branch renders as once, before and after
+        the branch without the copy."""
+        text = "ind a b\nclause (forall z1) (or (in z1 A))"
+        a_in, b_in = (Literal(True, Member1(var0(n), var1("A")))
+                      for n in "ab")
+        build, twice = self._branch(text, [a_in, b_in, a_in])
+        _, once = self._branch(text, [a_in, b_in])
+        _, first = self._branch(text, [a_in, a_in, b_in])
+        want = '{"domain": ["a", "b"], "sets1": {"A": ["a", "b"]}, "sets3": {}}'
+        for br in (once, twice, first, once, twice):
+            assert build.render(*br) == want
+
+
+def _product_850_kb():
+    """The product KB at three individuals with ``(not (in a A))``: 850
+    open branches, perfbench ``paper-engines``' models KB."""
+    from fourlqs.bench import BenchConfig, gen_family
+    return parse_kb(gen_family(BenchConfig(individuals=3, clauses=1)) + NOT_A)
+
+
+def _resume_kbs():
+    """The 850-branch product KB, the CI ontology (three merge maps) and
+    100 seeded random KBs."""
+    yield _product_850_kb()
+    yield _ontology_kb()
+    rng = random.Random(2020)
+    for _ in range(100):
+        yield parse_kb(gen_random_kb(rng))
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Every literal a model builder walks, in order: each is one lookup in
+    its merge map's fulfilment table."""
+    lits = []
+
+    class RecordingTable(dict):
+        def get(self, lit_int, default=None):
+            lits.append(lit_int)
+            return super().get(lit_int, default)
+
+    merged = ModelBuilder._merged
+
+    def recording_merged(self, sigma_items):
+        st = merged(self, sigma_items)
+        st.fulfils = RecordingTable(st.fulfils)
+        return st
+
+    monkeypatch.setattr(ModelBuilder, "_merged", recording_merged)
+    return lits
+
+
+class TestModelBuilderResume:
+    """The builder resumes from the last branch rendered under the same
+    merge map; the text never depends on what it rendered before."""
+
+    def test_render_order_does_not_change_text(self):
+        shuffle = random.Random(20).shuffle
+        sizes = []
+        for kb in _resume_kbs():
+            res = saturate(kb)
+            packed = res.packed
+            expected = _reference_texts(res, kb)
+            assert [ModelBuilder(res.compiled).render(*br)
+                    for br in packed] == expected
+            shuffled = list(range(len(packed)))
+            shuffle(shuffled)
+            for order in (range(len(packed)), range(len(packed) - 1, -1, -1),
+                          shuffled, [i for i in range(len(packed))
+                                     for _ in "ab"]):
+                render = ModelBuilder(res.compiled).render
+                for i in order:
+                    assert render(*packed[i]) == expected[i]
+            sizes.append((len(packed), len({s for _, s in packed})))
+        assert sizes[:2] == [(850, 1), (196, 3)]
+        assert sum(n for n, _ in sizes[2:]) > 100
+
+    def test_sparse_states_and_small_memos(self, monkeypatch):
+        """A wide literal space keeps a state every few positions, and a
+        memo whose keys fill up starts afresh; neither changes the text.
+        Here a state is kept every third position, and a relation's memo
+        holds at most two entries."""
+        monkeypatch.setattr(engine_module, "STATE_BITS", 64)
+        monkeypatch.setattr(engine_module, "EXTENT_MEMO_DIGITS", 18)
+        shuffle = random.Random(21).shuffle
+        for kb in (_product_850_kb(), _ontology_kb()):
+            res = saturate(kb)
+            expected = _reference_texts(res, kb)
+            build = ModelBuilder(res.compiled)
+            assert build._every > 1
+            order = list(range(len(res.packed))) * 2
+            shuffle(order)
+            for i in order:
+                assert build.render(*res.packed[i]) == expected[i]
+
+    @pytest.mark.parametrize("make_kb,literals,most",
+                             [(_product_850_kb, 14485, 2100),
+                              (_ontology_kb, 4326, 700)],
+                             ids=["product-850", "ontology"])
+    def test_sorted_run_walks_past_common_prefixes(self, walked, make_kb,
+                                                   literals, most):
+        """In sorted order a branch walks only the literals past its common
+        prefix with the last branch of its merge map: 2,010 of the 850-
+        branch KB's 14,485 literals and 687 of the ontology's 4,326.  A
+        branch rendered again walks none."""
+        res = saturate(make_kb())
+        assert sum(len(lits) for lits, _ in res.packed) == literals
+        render = ModelBuilder(res.compiled).render
+        for br in res.packed:
+            render(*br)
+        assert len(walked) <= most
+        count = len(walked)
+        render(*res.packed[-1])
+        assert len(walked) == count
+
 
 # keg's complement child resumes with the rest of its split's unresolved
 # disjuncts.  At z = z1 these clauses ground to an instance that holds the

@@ -73,6 +73,11 @@ class BenchConfig:
         for e in self.engines:
             if e not in ("keg", "ke", "foke"):
                 raise InvalidConfigError(f"unknown engine {e!r}")
+        if not self.engines:
+            raise InvalidConfigError("no engine selected")
+        if len(set(self.engines)) < len(self.engines):
+            raise InvalidConfigError(f"engines repeated in "
+                                     f"{','.join(self.engines)!r}")
 
 
 def gen_family(cfg: BenchConfig) -> str:

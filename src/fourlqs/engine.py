@@ -84,9 +84,11 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from json.encoder import encode_basestring_ascii
-from operator import ne
+from operator import or_
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -435,63 +437,67 @@ class Branch:
         return f"Branch({', '.join(map(repr, self.literals))})"
 
 
-# The widest prefix state, in bits, a merge map keeps at every position
-# of its last branch.  A wider state -- a literal space past about a
-# thousand keys -- is kept every ``1 + width // STATE_BITS`` positions,
-# so a map's states take about STATE_BITS / 8 bytes per literal of its
-# last branch, whatever the literal space.
-STATE_BITS = 1 << 12
-
-# The most digits an extent memo's keys may hold before it starts afresh.
-# Only a set of some thousand keys -- a relation over dozens of
-# individuals -- reaches it: the product KB at four individuals keys a
-# relation's memo by 16 digits.
-EXTENT_MEMO_DIGITS = 1 << 20
-
-
 class _ExtentMemo(dict):
     """One set's extent texts under one merge map, keyed by the set's
-    member digits (see :class:`ModelBuilder`); an entry is laid out on
-    first sight.  ``layout`` is whether the set is a set1, the merge map,
-    the individuals' name ranks and quoted names, and k."""
+    member mask (see :class:`ModelBuilder`); an entry is laid out on
+    first sight.  ``layout`` is whether the set is a set1, its symbol's
+    first key, the merge map, the map's keys in slot order, the
+    individuals' name ranks and quoted names, and k."""
 
     __slots__ = ("layout",)
 
-    def __missing__(self, members: str) -> str:
-        """The JSON text inside the extent's brackets.  ``members`` holds
-        a hex digit per key of the set, the last for its first key, that
-        is 1 for a key on the branch: an individual, or a pair of them,
-        rewritten through the merge map.  Sorted by name rank and
-        deduplicated."""
-        if len(self) * len(members) >= EXTENT_MEMO_DIGITS:
-            self.clear()
-        set1, sigma_map, rank, quoted, k = self.layout
-        flags = members[::-1]  # flags[i] is "1" for the set's i-th key
+    def __missing__(self, members: int) -> str:
+        """The JSON text inside the extent's brackets.  ``members`` has
+        bit ``4 * s`` set for each slot ``s`` whose key is on the branch
+        as a positive member literal of the set: an individual, or a pair
+        of them, rewritten through the merge map.  Sorted by name rank
+        and deduplicated."""
+        set1, first, sigma_map, keys, rank, quoted, k = self.layout
+        flags = bin(members)[:1:-1]  # flags[i] is "1" for bit i
         frags = {}
         i = flags.find("1")
         while i >= 0:
             if set1:
-                a = sigma_map.get(i, i)
+                a = keys[i >> 2] - first
+                a = sigma_map.get(a, a)
                 frags[rank[a]] = quoted[a]
             else:
-                a, b = divmod(i, k)
+                a, b = divmod(keys[i >> 2] - first, k)
                 a = sigma_map.get(a, a)
                 b = sigma_map.get(b, b)
                 frags[rank[a] * k + rank[b]] = f"[{quoted[a]}, {quoted[b]}]"
-            i = flags.find("1", i + 1)
+            i = flags.find("1", i + 4)
         text = self[members] = ", ".join([frags[r] for r in sorted(frags)])
         return text
 
 
-class _MapRender:
-    """What :class:`ModelBuilder` keeps for one merge map: its individuals
+class _MapRender(dict):
+    """What :class:`ModelBuilder` keeps for one merge map, itself the
+    table from literal integer to the literal's bits: its individuals
     (``canon``), its instance count ``ninst`` with the instance mask
-    ``full`` and the literal field's first bit ``top``, the fulfilment
-    table, the last branch rendered and its prefix states, the extent
-    memos and the domain prefix."""
+    ``full``, the fulfilment table, the slot of each key (``slots``) and
+    the key of each slot (``keys``), how many slots the set masks hold
+    (``folded``), the KB's equality faults and the mask ``eq_bad`` of
+    those met, per set the member mask and the extent memo, and the
+    domain prefix."""
 
-    __slots__ = ("canon", "ninst", "full", "top", "fulfils", "last",
-                 "states", "extents", "prefix")
+    __slots__ = ("canon", "ninst", "full", "fulfils", "slots", "keys",
+                 "folded", "eq_marked", "eq_bad", "masks", "extents", "prefix")
+
+    def __missing__(self, l: int) -> int:
+        """A literal's entry on first sight: the instances that hold it
+        and its own bit, its polarity bit in its key's slot.  A new key
+        takes the next slot."""
+        key = l >> 2
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.keys)
+            self.keys.append(key)
+        entry = 1 << self.ninst + 4 * slot + (l & 1)
+        if l in self.eq_marked:
+            self.eq_bad |= entry >> self.ninst
+        entry = self[l] = entry | self.fulfils.get(l, 0)
+        return entry
 
 
 class ModelBuilder:
@@ -516,55 +522,45 @@ class ModelBuilder:
     the instances, which are tried in clause-then-tau order, so the
     first unfulfilled one names the error.
 
-    Sorted branches are nearly all shared prefix, so the builder resumes,
-    as a DPLL(T) theory solver keeps its theory state on the trail.  Per
-    merge map it keeps the last branch it rendered and, for each prefix
-    position of that branch, the prefix's state: one integer holding the
-    mask of the clause instances the prefix fulfils in its low ``ninst``
-    bits and, above them, the mask of its literals, bit ``l`` for literal
-    ``l``.  A branch finds its common prefix with the last one (one
-    C-level ``map(ne, ...)``), takes that prefix's state and or's in, per
-    further literal, the literal's bit and the instances that hold it,
-    read from the map's fulfilment table.  So a branch costs the literals
-    past its common prefix -- on the product KBs, one literal in 7 to 12
-    of a sorted run -- and a branch rendered twice walks none.  A state
-    depends only on its prefix's literals, so any rendering order gives
-    the same text, and a branch that fails a check leaves valid states.
+    A branch's state is one integer, the ``or`` of its literals' entries
+    in its merge map's table (one C-level ``reduce``): in its low
+    ``ninst`` bits, the mask of the clause instances the branch fulfils,
+    and above them the mask ``m`` of its literals.  A literal's entry is
+    the mask of the instances that hold it, read from the map's
+    fulfilment table, and its own bit.  Each key gets a 4-bit slot,
+    numbered in the order the map's branches first show keys, and a
+    literal's bit is its polarity bit in its key's slot; so a state is
+    as wide as the keys its map has met, whatever the literal space, and
+    the table is filled on a literal's first sight.  A state depends only
+    on the branch's literals, so any rendering order gives the same
+    text, and a branch that fails a check leaves a valid table.
 
-    On the literal mask ``m`` the checks are bit operations.  A literal
-    and its complement take adjacent bits (bit 1 of a literal is always
-    clear), so ``m & (m >> 1)`` finds a complementary pair, and one mask
-    of the x=y between distinct individuals and the negated x=x finds the
-    equality faults.  An instance bit left clear is an unfulfilled
-    instance, the lowest one the first in clause-then-tau order.
+    On ``m`` the checks are bit operations.  A literal and its complement
+    take adjacent bits of one slot, so ``m & (m >> 1)`` finds a
+    complementary pair, and the map's mask of the x=y between distinct
+    individuals and the negated x=x it has met finds the equality faults.
+    An instance bit left clear is an unfulfilled instance, the lowest one
+    the first in clause-then-tau order.
 
     The text is the domain prefix, then the text of a model with every
-    extent empty, with each extent's text put just inside its ``[``.  A
-    key's four literal bits are one hex digit of ``m``, and a symbol's
-    keys are consecutive, so ``hex`` of ``m``'s positive member literals
-    holds every set's member mask as one slice of digits.  Each set has
-    a memo of extent texts keyed by that slice (:class:`_ExtentMemo`),
-    members in sorted name order and each JSON fragment quoted once; so
-    a branch costs one lookup per set extent, and a member set is laid
-    out once per merge map.
+    extent empty, with each extent's text put just inside its ``[``.
+    Per merge map each set keeps the mask of its slots' positive bits,
+    and a memo of extent texts keyed by ``m & mask``
+    (:class:`_ExtentMemo`), members in sorted name order and each JSON
+    fragment quoted once; so a branch costs one lookup per set extent,
+    and a member set is laid out once per merge map.
 
-    Sizes.  A state takes ``ninst`` plus ``4 * nkeys`` bits, and each
-    literal walked costs an ``or`` that wide.  A map keeps one state per
-    literal of its last branch; past ``STATE_BITS`` bits it keeps one
-    every few positions, so a map's states stay near 512 bytes per
-    literal whatever the literal space, and a branch walks at most that
-    many more literals from the kept state below its common prefix.
-    A memo holds one entry per distinct member set rendered under its map
-    (at most 2 to the power of the set's k or k*k keys), and starts afresh
-    once its keys hold ``EXTENT_MEMO_DIGITS`` digits.  The fulfilment
-    table holds one entry per literal of an instance.  Everything per
-    merge map -- domain prefix, fulfilment table, states and memos -- is
-    built when the map renders its first branch.
+    Sizes.  A state takes ``ninst`` plus 4 bits per key its map has met,
+    as does each table entry, and each literal costs an ``or`` that wide.
+    A memo holds one entry per distinct member set rendered under its
+    map.  The fulfilment table holds one entry per literal of an
+    instance, the literal table one per literal met.  The domain prefix,
+    fulfilment table and empty memos are built when the map renders its
+    first branch.
     """
 
-    __slots__ = ("comp", "_names", "_quoted", "_rank", "_n1", "_first_gap",
-                 "_fields", "_text", "_members", "_sentinel", "_eq_bad",
-                 "_every", "_by_sigma")
+    __slots__ = ("comp", "_names", "_quoted", "_rank", "_sets", "_extent_of",
+                 "_firsts", "_first_gap", "_text", "_by_sigma")
 
     def __init__(self, comp: CompiledKb):
         self.comp = comp
@@ -576,25 +572,22 @@ class ModelBuilder:
         self._rank = sorted(range(len(names)), key=order.__getitem__)
         # The text of a model after its domain prefix, with every extent
         # empty, cut just inside each extent's "[": sets1 then sets3,
-        # each in sorted name order.  A key's four literal bits are one
-        # hex digit of a literal mask, so per extent in that order, the
-        # slice of the mask's hex text that holds its symbol's keys: the
-        # text is "0x1" and one digit per key, key i at ``end - 1 - i``.
-        k, n1 = comp.k, comp.n1
-        self._n1 = n1
+        # each in sorted name order.  Per extent in that order, whether
+        # it is a set1 and its symbol's first key; _extent_of[sym] is the
+        # symbol's extent, -1 for equality.
+        self._sets: List[Tuple[bool, int]] = []
+        self._extent_of = [-1] * comp.nsym
+        self._firsts = comp.symkey[1:]
         gaps: List[str] = []
-        self._fields: List[slice] = []
-        end = 3 + comp.nkeys
         gap = ""
-        for group, offset, close, width in (
-                (comp.set1s, 1, '}, "sets3": {', k),
-                (comp.set3s, 1 + n1, "}}", comp.kk)):
+        for group, offset, close in ((comp.set1s, 1, '}, "sets3": {'),
+                                     (comp.set3s, 1 + comp.n1, "}}")):
             sep = ""
             for name, sym in sorted([(v.name, offset + i)
                                      for i, v in enumerate(group)]):
+                self._extent_of[sym] = len(gaps)
+                self._sets.append((group is comp.set1s, comp.symkey[sym]))
                 gaps.append(gap + sep + encode_basestring_ascii(name) + ": [")
-                key = comp.symkey[sym]
-                self._fields.append(slice(end - key - width, end - key))
                 gap, sep = "]", ", "
             gap += close
         gaps.append(gap)
@@ -603,30 +596,13 @@ class ModelBuilder:
         # extent and the gap after it.
         self._text: List[str] = [""] * (2 * len(gaps) - 1)
         self._text[2::2] = gaps[1:]
-        # The positive literals of every set symbol's keys, then the bit
-        # that puts the "1" after "0x".
-        self._members = (((1 << 4 * (comp.nkeys - comp.base1)) - 1) // 15
-                         << 4 * comp.base1)
-        self._sentinel = 1 << 4 * comp.nkeys
-        # The bits of comp.eq_marked: each x = y with x, y distinct (the
-        # positive equality keys but the diagonal, every (k+1)-th from 0)
-        # and each negated x = x.
-        self._eq_bad = 0
-        if comp.eq_marked:
-            diagonal = (((1 << 4 * (k + 1) * k) - 1)
-                        // ((1 << 4 * (k + 1)) - 1))
-            self._eq_bad = (((1 << 4 * comp.kk) - 1) // 15 ^ diagonal
-                            | diagonal << 1)
-        # A state takes at most 4 * nkeys bits of literals and one bit per
-        # job, as no merge map has more instances than the KB has jobs.
-        self._every = 1 + (4 * comp.nkeys + len(comp.jobs)) // STATE_BITS
         self._by_sigma: Dict[Tuple, _MapRender] = {}
 
     def _merged(self, sigma_items: Tuple[Tuple[int, int], ...]) -> _MapRender:
         """The render state of one merge map, built on its first branch:
         the fulfilment table over every clause instance on the merged
-        individuals, instance bits in clause-then-tau order; no branch
-        yet; an empty extent memo per set; and the domain prefix."""
+        individuals, instance bits in clause-then-tau order; no literal
+        met yet; an empty extent memo per set; and the domain prefix."""
         comp = self.comp
         st = _MapRender()
         sigma_map = dict(sigma_items)
@@ -661,16 +637,19 @@ class ModelBuilder:
                         l += tau[ib] * 4
                     fulfils[l] = get(l, 0) | bit
                 bit <<= 1
-        st.top = bit
         st.full = bit - 1
         st.ninst = bit.bit_length() - 1
-        st.last = ()
-        st.states = [0]
+        st.slots = {}
+        st.keys = []
+        st.folded = 0
+        st.eq_marked = comp.eq_marked
+        st.eq_bad = 0
+        st.masks = [0] * len(self._sets)
         st.extents = extents = []
-        for i in range(len(self._fields)):
+        for set1, first in self._sets:
             memo = _ExtentMemo()
-            memo.layout = (i < self._n1, sigma_map, self._rank, self._quoted,
-                           comp.k)
+            memo.layout = (set1, first, sigma_map, st.keys, self._rank,
+                           self._quoted, comp.k)
             extents.append(memo)
         st.prefix = ('{"domain": [' + ", ".join([self._quoted[c]
                                                 for c in canon])
@@ -678,40 +657,42 @@ class ModelBuilder:
         self._by_sigma[sigma_items] = st
         return st
 
+    def _fold(self, st: _MapRender) -> None:
+        """Fold the positive bits of the slots its map numbered since the
+        last fold into their sets' masks, once per set.  A key's symbol
+        is the number of set symbols whose first key is at most the key."""
+        keys, extent_of, firsts = st.keys, self._extent_of, self._firsts
+        size = len(keys) + 1 >> 1
+        grown: Dict[int, bytearray] = {}
+        for slot in range(st.folded, len(keys)):
+            extent = extent_of[bisect_right(firsts, keys[slot])]
+            if extent >= 0:
+                if extent not in grown:
+                    grown[extent] = bytearray(size)
+                grown[extent][slot >> 1] |= 1 << 4 * (slot & 1)
+        for extent, bits in grown.items():
+            st.masks[extent] |= int.from_bytes(bits, "little")
+        st.folded = len(keys)
+
     def render(self, lit_ints: Tuple[int, ...],
                sigma_items: Tuple[Tuple[int, int], ...]) -> str:
         """The model report text of one packed branch: its literal
-        integers, a tuple the builder keeps as its map's last branch, and
-        its merge map's sorted items."""
+        integers and its merge map's sorted items."""
         st = self._by_sigma.get(sigma_items)
         if st is None:
             st = self._merged(sigma_items)
-        last, every, states = st.last, self._every, st.states
-        common = 0
-        if last:
-            common = next(itertools.compress(itertools.count(),
-                                             map(ne, last, lit_ints)), None)
-            if common is None:
-                common = min(len(last), len(lit_ints))
-        start = common - common % every
-        del states[start // every + 1:]
-        state = states[-1]
-        top, fulfils = st.top, st.fulfils.get
-        for i, l in enumerate(lit_ints[start:], start + 1):
-            state |= top << l | fulfils(l, 0)
-            if not i % every:
-                states.append(state)
-        st.last = lit_ints
+        state = reduce(or_, map(st.__getitem__, lit_ints), 0)
+        if st.folded < len(st.keys):
+            self._fold(st)
         m = state >> st.ninst
-        if m & ((m >> 1) | self._eq_bad):
+        if m & ((m >> 1) | st.eq_bad):
             self._literal_fault(lit_ints, set(lit_ints))
         if state & st.full != st.full:
             self._unfulfilled(st, (~state & (state + 1)).bit_length() - 1)
-        digits = hex(m & self._members | self._sentinel)
         text = self._text
         text[0] = st.prefix
         text[1::2] = map(dict.__getitem__, st.extents,
-                         map(digits.__getitem__, self._fields))
+                         map(m.__and__, st.masks))
         return "".join(text)
 
     def _unfulfilled(self, st: _MapRender, index: int) -> None:

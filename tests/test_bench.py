@@ -53,6 +53,10 @@ class TestGenFamily:
             gen_family(BenchConfig(individuals=0))
         with pytest.raises(InvalidConfigError):
             BenchConfig(engines=("keg", "nope")).validate()
+        with pytest.raises(InvalidConfigError, match="no engine"):
+            BenchConfig(engines=()).validate()
+        with pytest.raises(InvalidConfigError, match="repeated"):
+            BenchConfig(engines=("keg", "ke", "keg")).validate()
 
 
 class TestRandomGenerators:

@@ -117,6 +117,8 @@ class TestLimitValues:
         (["query", "{kb}", "--q", "{q}", "--max-seconds", "nan"], 2),
         (["query", "{kb}", "--q", "{q}", "--workers", "-3"], 2),
         (["bench", "--individuals", "1", "--parallel", "--workers", "-3"], 2),
+        (["bench", "--individuals", "1", "--engines", ","], 2),
+        (["bench", "--individuals", "1", "--engines", "keg,keg"], 2),
         (["check", "{kb}", "--max-branches", "0"], 3),
         (["check", "{kb}", "--max-seconds", "0"], 3),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)

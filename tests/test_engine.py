@@ -1148,6 +1148,22 @@ class TestModelBuilder:
         for br in (once, twice, first, once, twice):
             assert build.render(*br) == want
 
+    def test_membership_no_kb_literal_holds(self):
+        """A positive membership that neither a ground literal nor a
+        clause instance holds still gets its slot, on first sight, and
+        its place in the extent."""
+        from fourlqs.syntax import render_model_report
+        text = ("ind a b c\nlit (in b A)\nlit (not (in c B))\n"
+                "clause (forall z1) (or (in z1 A) (rel z1 z1 R))")
+        lits = [mem("b", "A"), mem("c", "B"), mem("a", "A"),
+                rel("c", "c", "R"), mem("c", "A", False), rel("c", "a", "R")]
+        want = render_model_report(extract_model(lits, substitution0({}),
+                                                 parse_kb(text)))
+        build, br = self._branch(text, lits)
+        assert build.render(*br) == want
+        build, br = self._branch(text, lits[::-1])
+        assert build.render(*br) == want
+
 
 def _product_850_kb():
     """The product KB at three individuals with ``(not (in a A))``: 850
@@ -1166,31 +1182,10 @@ def _resume_kbs():
         yield parse_kb(gen_random_kb(rng))
 
 
-@pytest.fixture
-def walked(monkeypatch):
-    """Every literal a model builder walks, in order: each is one lookup in
-    its merge map's fulfilment table."""
-    lits = []
-
-    class RecordingTable(dict):
-        def get(self, lit_int, default=None):
-            lits.append(lit_int)
-            return super().get(lit_int, default)
-
-    merged = ModelBuilder._merged
-
-    def recording_merged(self, sigma_items):
-        st = merged(self, sigma_items)
-        st.fulfils = RecordingTable(st.fulfils)
-        return st
-
-    monkeypatch.setattr(ModelBuilder, "_merged", recording_merged)
-    return lits
-
-
 class TestModelBuilderResume:
-    """The builder resumes from the last branch rendered under the same
-    merge map; the text never depends on what it rendered before."""
+    """The builder keeps its tables and memos per merge map from one
+    render to the next; the text never depends on what it rendered
+    before."""
 
     def test_render_order_does_not_change_text(self):
         shuffle = random.Random(20).shuffle
@@ -1213,43 +1208,32 @@ class TestModelBuilderResume:
         assert sizes[:2] == [(850, 1), (196, 3)]
         assert sum(n for n, _ in sizes[2:]) > 100
 
-    def test_sparse_states_and_small_memos(self, monkeypatch):
-        """A wide literal space keeps a state every few positions, and a
-        memo whose keys fill up starts afresh; neither changes the text.
-        Here a state is kept every third position, and a relation's memo
-        holds at most two entries."""
-        monkeypatch.setattr(engine_module, "STATE_BITS", 64)
-        monkeypatch.setattr(engine_module, "EXTENT_MEMO_DIGITS", 18)
-        shuffle = random.Random(21).shuffle
-        for kb in (_product_850_kb(), _ontology_kb()):
-            res = saturate(kb)
-            expected = _reference_texts(res, kb)
-            build = ModelBuilder(res.compiled)
-            assert build._every > 1
-            order = list(range(len(res.packed))) * 2
-            shuffle(order)
-            for i in order:
-                assert build.render(*res.packed[i]) == expected[i]
+    def test_state_is_as_wide_as_the_keys_met(self):
+        """A ground KB of 1,000 individuals, 10 concepts and 3 relations
+        has 3,010,000 keys but one branch of 3,000 literals: its state
+        takes 4 bits per key on the branch, not per key of the KB."""
+        from functools import reduce
+        from operator import or_
+        res = saturate(parse_kb(_wide_ground_kb(1000)))
+        (lits, sigma_items), = res.packed
+        build = ModelBuilder(res.compiled)
+        assert build.render(lits, sigma_items) == _reference_texts(
+            res, res.kb)[0]
+        st = build._by_sigma[sigma_items]
+        state = reduce(or_, map(st.__getitem__, lits), 0)
+        assert res.compiled.nkeys > 3_000_000
+        assert state.bit_length() <= st.ninst + 4 * len({l >> 2 for l in lits})
 
-    @pytest.mark.parametrize("make_kb,literals,most",
-                             [(_product_850_kb, 14485, 2100),
-                              (_ontology_kb, 4326, 700)],
-                             ids=["product-850", "ontology"])
-    def test_sorted_run_walks_past_common_prefixes(self, walked, make_kb,
-                                                   literals, most):
-        """In sorted order a branch walks only the literals past its common
-        prefix with the last branch of its merge map: 2,010 of the 850-
-        branch KB's 14,485 literals and 687 of the ontology's 4,326.  A
-        branch rendered again walks none."""
-        res = saturate(make_kb())
-        assert sum(len(lits) for lits, _ in res.packed) == literals
-        render = ModelBuilder(res.compiled).render
-        for br in res.packed:
-            render(*br)
-        assert len(walked) <= most
-        count = len(walked)
-        render(*res.packed[-1])
-        assert len(walked) == count
+
+def _wide_ground_kb(n):
+    """n individuals, each in one of 10 concepts, and 2n random facts
+    over 3 relations: one branch, as wide as the KB's literals."""
+    rng = random.Random(1)
+    lines = ["ind " + " ".join(f"i{j}" for j in range(n))]
+    lines += [f"lit (in i{j} C{rng.randrange(10)})" for j in range(n)]
+    lines += [f"lit (rel i{rng.randrange(n)} i{rng.randrange(n)} "
+              f"R{rng.randrange(3)})" for _ in range(2 * n)]
+    return "\n".join(lines) + "\n"
 
 
 # keg's complement child resumes with the rest of its split's unresolved

@@ -17,7 +17,13 @@ which is exactly the comparison the benchmark harness isolates:
   explicit stack, never a grounding.  keg also keeps one watched literal
   per job, the disjunct that last discharged it, and skips the job while
   that literal is on the branch: 8 bytes per job for the list plus the
-  literal integers it keeps alive, never an instance.
+  literal integers it keeps alive, never an instance.  The cursor and
+  the watch list also show when a split's complement children need not
+  be entered: when the fulfilling child's first scan finds no open job
+  and the split literal watches no later job, every later job stays
+  discharged on every child of the complement chain, so keg counts that
+  chain's leaves from the carried list alone (the split's *tail*; a KB
+  that mentions equality takes none).
   ``peak_resident_formulae`` still counts the current branch only.
 * ``ke``   -- classic elimination over an up-front grounding: every
   instance is materialised before exploration and lives on the branch as
@@ -41,7 +47,9 @@ loops, and the benchmark quantifies the difference.
 
 The explorer is one loop over an explicit stack of pending complement
 children, so the split rule, the closure test, elimination, leaf
-accounting and undo are written once.  All three engines also share the
+accounting and undo are written once; keg's tails are counted by one
+inner loop that replays, child by child, what entering the chain would
+count, limits and polls included.  All three engines also share the
 instantiation order (clauses in KB order, tuples lexicographic in
 individual order) and the equality-normalisation phase, so branch
 counts and branch literal sets agree across engines.  A KB's depth is
@@ -915,14 +923,17 @@ def _keg_select(comp: CompiledKb, on):
     -1, whose flag is never set.  It is a disjunct of job ``j``'s own
     instance, so while it is on the branch the job is discharged and is
     passed over without being ground; once backtracking has removed it,
-    the job is ground again.  The watch list takes 8 bytes per job, plus the literal integers it
-    keeps alive; it holds no instance.
+    the job is ground again.  The watch list takes 8 bytes per job, plus
+    the literal integers it keeps alive; it holds no instance.
 
     A complement child whose split carried its list on the stack entry
     does not call this (see :func:`_run`).  A replayed complement child,
     which has no entry, grounds its split's job again and gets the same
     list, since the scan drops every disjunct whose complement is on the
     branch and the split literal's complement now is.
+
+    Returns ``select`` and the watch list, which :func:`_run` reads to
+    tell a split's tail.
     """
     jobs = comp.jobs
     njobs = len(jobs)
@@ -952,7 +963,7 @@ def _keg_select(comp: CompiledKb, on):
                 return j, missing
             j += 1
         return None
-    return select
+    return select, watch
 
 
 def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
@@ -986,6 +997,28 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     the added complement is itself a disjunct, the child discharges the
     job, so the entry carries ``None`` and the next job as its cursor.
     The other policies carry ``None`` and re-select in the child.
+
+    keg enters a split's fulfilling child in the split itself, so it sees
+    that child's first select.  When it gets ``None``, the split is a
+    *tail* if its literal ``bh`` is not the watch of a job past the
+    split's.  That select passed every later job over with its watch on
+    the branch, so those watches are on the parent branch, and branches
+    only grow: each child of the complement chain, the entry's child, the
+    complement child of each split on its carried list and so on, also
+    ends at its first select.  So once the fulfilling leaf is counted,
+    the entry is popped and its chain counted from the carried list in
+    one loop, with no literal marked, no select and no push.  It
+    replays what entering the children counts, in depth-first order: a
+    split on the list's first literal (one ``pb_apps``, depth + 1, an
+    open leaf), dropping copies of that literal, an open leaf when its
+    complement is on the list, and at the end one ``rule_apps`` with an
+    open leaf for one literal left or a closed leaf for none.  Each leaf
+    checks the limits and counts down to ``poll`` as a child would; for a
+    poll at the fulfilling leaf of a split in the chain, that split's
+    pending entry is put on the stack, and a poll that takes it ends the
+    chain there.  A KB that
+    mentions equality takes no tail: a chain leaf might need the equality
+    phase, and telling which costs more than such a KB's few tails save.
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child), such as a guiding path taken off
@@ -1097,7 +1130,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     stack: List[Tuple[int, int, int, int, int, int, Optional[List[int]]]] = []
     if engine == "keg":
         on = _marks(comp)
-        select = _keg_select(comp, on)
+        select, watch = _keg_select(comp, on)
         resumes = True
         marks = True
     elif engine == "ke":
@@ -1154,6 +1187,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     if has_eq:
         eqlits += [divmod(l >> 2, kdim) for l in order if l in eq_pos]
 
+    # The entry of a split whose tail (see the docstring) is counted
+    # after the next counted leaf, its fulfilling one.
+    tail = None
+
     limited = None
     leaf = True if root_closed else None  # True closed, False open
     lit, j, depth = -1, 0, 0              # lit: the literal to add next
@@ -1178,9 +1215,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                 n = len(order)
                 if n > peak_lits:
                     peak_lits = n
-                res = n + base_resident + len(resident)
-                if res > peak_res:
-                    peak_res = res
+                if resident:
+                    res = n + base_resident + len(resident)
+                    if res > peak_res:
+                        peak_res = res
                 if leaf:
                     nclosed += 1
                 elif n > length_bound:
@@ -1231,6 +1269,96 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     nopen += 1
                     if collect:
                         collected.append((tuple(order), ()))
+                if tail:
+                    # Unless a poll handed the entry over, count the
+                    # split's complement chain.  Each child is its split's
+                    # complement on the last child's trail and carries
+                    # the rest of the list; ``n`` is the length of its
+                    # leaf, which adds ``x`` unless that is -1.
+                    if stack and stack[-1] is tail:
+                        stack.pop()
+                        on[order.pop()] = False
+                        _, _, _, lit, j, depth, rest = tail
+                        n = len(order) + 1
+                        if collect:
+                            trail = (*order, lit)
+                        done = False
+                        while True:
+                            x = -1
+                            split = closed = False
+                            if rest is not None:
+                                if len(rest) > 1:
+                                    if timed and perf_counter() > deadline:
+                                        limited = time_limit
+                                        break
+                                    pb_apps += 1
+                                    depth += 1
+                                    if depth > peak_depth:
+                                        peak_depth = depth
+                                    split = True
+                                    x = rest[0]
+                                    rest = rest[1:]
+                                    if (x ^ 1) in rest:
+                                        rest = None
+                                    elif x in rest:
+                                        rest = [l for l in rest if l != x]
+                                    n += 1
+                                else:
+                                    rule_apps += 1
+                                    if rest:
+                                        x = rest[0]
+                                        n += 1
+                                    else:
+                                        closed = True
+                            if limits:
+                                if (max_branches is not None
+                                        and nopen + nclosed >= max_branches):
+                                    limited = (f"branch limit {max_branches}"
+                                               f" reached")
+                                    break
+                                if timed and perf_counter() > deadline:
+                                    limited = time_limit
+                                    break
+                                if poll is not None:
+                                    countdown -= 1
+                                    if not countdown:
+                                        countdown = POLL_LEAVES
+                                        if split:
+                                            # The entry entering the
+                                            # split would have pushed.
+                                            pending = (
+                                                n - 1, 0, 0, x ^ 1,
+                                                j if rest is not None
+                                                else j + 1, depth, rest)
+                                            stack.append(pending)
+                                        if poll(stack, nopen + nclosed):
+                                            break
+                                        if split:
+                                            if stack and stack[-1] is pending:
+                                                stack.pop()
+                                            else:  # handed over
+                                                split = False
+                            if n > peak_lits:
+                                peak_lits = n
+                            if closed:
+                                nclosed += 1
+                            elif n > length_bound:
+                                raise AssertionError(
+                                    f"branch grew to {n} literals, above "
+                                    f"the height bound {length_bound}")
+                            else:
+                                nopen += 1
+                                if collect:
+                                    collected.append((
+                                        trail if x < 0 else (*trail, x), ()))
+                            if not split:
+                                done = True
+                                break
+                            if collect:
+                                trail = (*trail, x ^ 1)
+                        if not done:
+                            break
+                    tail = None
             if not stack:
                 break
             so, se, sr, lit, j, depth, carried = stack.pop()
@@ -1301,13 +1429,32 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         elif resumes:
             rest = missing[1:]
             if (bh ^ 1) in rest:
-                stack.append((len(order), len(eqlits), len(resident), bh ^ 1,
-                              j + 1, depth, None))
+                entry = (len(order), len(eqlits), len(resident), bh ^ 1,
+                         j + 1, depth, None)
             else:
                 if bh in rest:
                     rest = [l for l in rest if l != bh]
-                stack.append((len(order), len(eqlits), len(resident), bh ^ 1,
-                              j, depth, rest))
+                entry = (len(order), len(eqlits), len(resident), bh ^ 1, j,
+                         depth, rest)
+            stack.append(entry)
+            if not (has_eq and bh in eq_marked):
+                # Enter the fulfilling child here, so that its first
+                # select is seen: when it finds no open job, the split is
+                # a tail unless its literal watches a later job or the KB
+                # mentions equality.
+                on[bh] = True
+                order.append(bh)
+                if depth > peak_depth:
+                    peak_depth = depth
+                j += 1
+                selected = select(j)
+                if selected is None:
+                    leaf = False
+                    if not has_eq and bh not in watch[j:]:
+                        tail = entry
+                else:  # the child acts on the selected list as if carried
+                    j, carried = selected
+                continue
         else:
             stack.append((len(order), len(eqlits), len(resident), bh ^ 1, j,
                           depth, None))
@@ -1318,6 +1465,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     stats.pb_apps = pb_apps
     stats.peak_stack_depth = peak_depth
     stats.peak_branch_literals = peak_lits
+    # A leaf with no parked instance holds at most peak_lits literals and
+    # the base residents; only leaves with residents were counted above.
+    if nopen + nclosed and peak_lits + base_resident > peak_res:
+        peak_res = peak_lits + base_resident
     stats.peak_resident_formulae = max(stats.peak_resident_formulae, peak_res)
     if stats.peak_resident_formulae == 0:
         stats.peak_resident_formulae = len(order) + base_resident

@@ -390,6 +390,41 @@ class TestDeterminismAndLimits:
         monkeypatch.delenv("REASONER_THREADS")
         assert _effective_workers(EngineOptions(workers=2)) == 2
 
+    def test_tripped_run_agrees_across_engines(self):
+        """A run tripped at any branch limit has counted the same leaves
+        with every engine, since all three explore one tree in one
+        order: the open and closed counts, the rule counts, both peaks
+        and the collected branches agree, on KBs with and without
+        splits, merges and closed branches.  Serial only: a tripped
+        ``--workers 2`` run's counts vary from run to run."""
+        from fourlqs.bench import BenchConfig, gen_family
+        texts = []
+        for n in (1, 2, 3):
+            family = gen_family(BenchConfig(individuals=n, clauses=1))
+            texts += [family, family + NOT_A]
+        rng = random.Random("tripped")
+        texts += [gen_random_kb(rng, max_individuals=3, max_clauses=5,
+                                max_quantifiers=2, max_ground=6)
+                  for _ in range(60)]
+        kbs = [parse_kb(t) for t in texts] + [_ontology_kb()]
+        tripped = 0
+        for kb in kbs:
+            for limit in [*range(40), 101, 257]:
+                signatures = set()
+                for engine in ("keg", "ke", "foke"):
+                    try:
+                        res = saturate(kb, EngineOptions(max_branches=limit),
+                                       engine=engine)
+                    except ResourceLimitError as err:
+                        res = err.partial
+                        tripped += engine == "keg"
+                    s = res.stats
+                    signatures.add((res.open_count, res.closed_count,
+                                    s.rule_apps, s.pb_apps, s.peak_stack_depth,
+                                    s.peak_branch_literals, tuple(res.packed)))
+                assert len(signatures) == 1, (kb, limit)
+        assert tripped >= 500
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recursion_limit_restored(self, workers):
         # 60 individuals: 3,600 nested splits on one branch.
@@ -660,6 +695,49 @@ class TestProbeHandOver:
         assert 1000 <= partial.open_count + partial.closed_count <= 2000
         assert forks
         _assert_no_children()
+
+    @pytest.mark.parametrize("kb", ["7058", "850"])
+    def test_poll_inside_tails_equals_serial(self, forks, monkeypatch, kb):
+        """With a poll at every leaf, the probe hands over and the parent
+        merges inside keg's tails (see ``_run``): a two-worker run still
+        equals serial in every field."""
+        kb = _paper_kb(NOT_AB) if kb == "7058" else _product_850_kb()
+        serial = saturate(kb)
+        monkeypatch.setattr(engine_module, "POLL_LEAVES", 1)
+        res = saturate(kb, EngineOptions(workers=2))
+        assert forks
+        assert self._fields(res) == self._fields(serial)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("most", [1, 3, 16])
+    def test_hand_over_at_every_leaf(self, monkeypatch, most):
+        """A poll may take the shallowest entries at any leaf, one inside
+        a tail included, where the complement child's entry is the top of
+        the stack.  For each leaf of the 850-branch KB, a run that hands
+        over ``most`` entries there, merged with the runs of the paths it
+        handed over, equals the serial run."""
+        from fourlqs.engine import CompiledKb, _guiding_paths, _run
+        from fourlqs.parallel import _Merge
+        monkeypatch.setattr(engine_module, "POLL_LEAVES", 1)
+        comp = CompiledKb(_product_850_kb())
+        opts = EngineOptions()
+        serial = _run(comp, opts, "keg")
+        total = serial[0]["open"] + serial[0]["closed"]
+        for at in range(total):
+            paths = []
+
+            def poll(stack, leaves):
+                if leaves == at:
+                    paths.extend(_guiding_paths(stack, most))
+                return False
+
+            merge = _Merge(None)
+            merge.add(_run(comp, opts, "keg", poll=poll))
+            for path in paths:
+                merge.add(_run(comp, opts, "keg", script=path))
+            counts, stats, packed, limited = merge.result()
+            assert (counts, stats, sorted(packed), limited) == \
+                (serial[0], serial[1], sorted(serial[2]), serial[3]), at
 
     def test_probe_reads_the_clock_once_per_poll(self, monkeypatch):
         """A probe that does not expire reads the clock once at its start
@@ -1405,6 +1483,80 @@ class TestKegResume:
             finally:
                 tracemalloc.stop()
         assert peaks["keg"] < peaks["ke"], peaks
+
+
+# keg's tails (see ``_run``): at z = z1 the last job's instance is
+# unresolved, so its split's fulfilling child finds no open job and the
+# complement chain is counted from the carried list.  That list holds a
+# repeated literal, a complementary pair, copies of a split literal (so
+# the chain ends in a closed leaf) or an equality, whose KB takes no
+# tail: counted from the list, the chain's leaf with b = a would stay
+# open, while merging b into a closes it.
+TAIL_KBS = {
+    "repeated": "ind a b\n"
+                "clause (forall z z1) (or (in z B) (in z A) (in z1 A) (in z C))\n",
+    "complementary": "ind a b\nclause (forall z z1) "
+                     "(or (in z B) (in z A) (not (in z1 A)) (in z C))\n",
+    "copies": "ind a b\nclause (forall z z1) (or (in z B) (in z A) (in z1 A))\n",
+    "equality": "ind a b\nlit (in b D)\nlit (not (in a D))\n"
+                "clause (forall z) (or (in z B) (eq z a) (in z C))\n",
+}
+
+
+def _stats_fields(res):
+    """Every statistic that does not depend on the engine's design."""
+    s = res.stats
+    return (res.open_count, res.closed_count, s.rule_apps, s.pb_apps,
+            s.gamma_apps, s.peak_stack_depth, s.peak_branch_literals,
+            res.packed)
+
+
+class TestKegTail:
+    @pytest.mark.parametrize("name", sorted(TAIL_KBS))
+    def test_tail_matches_ke(self, name, monkeypatch):
+        """keg counts these chains without selecting, so it ends fewer
+        branches at a select than it counts open ones, yet every
+        statistic and branch equals ke's, which enters every child, in
+        count and in collect mode."""
+        nones = []
+        real = engine_module._keg_select
+
+        def counting(comp, on):
+            select, watch = real(comp, on)
+
+            def counted(j):
+                selected = select(j)
+                nones.append(selected is None)
+                return selected
+            return counted, watch
+
+        monkeypatch.setattr(engine_module, "_keg_select", counting)
+        kb = parse_kb(TAIL_KBS[name])
+        for collect in (True, False):
+            opts = EngineOptions(collect_branches=collect)
+            nones.clear()
+            keg = saturate(kb, opts)
+            assert _stats_fields(keg) == \
+                _stats_fields(saturate(kb, opts, engine="ke"))
+            assert keg.stats.peak_resident_formulae == \
+                keg.stats.peak_branch_literals + len(kb.clauses)
+            if name != "equality":
+                assert sum(nones) < keg.open_count
+        assert keg.stats.pb_apps > 0
+
+    def test_resident_peak_is_branch_plus_clauses(self):
+        """keg and ke hold no parked instance, so their resident peak is
+        the longest counted branch plus the clauses, or ke's grounding."""
+        from fourlqs.engine import CompiledKb
+        for kb, peak in ((_paper_kb(NOT_AB), 32), (_paper_kb(NOT_A), 40),
+                         (_ontology_kb(), 32)):
+            opts = EngineOptions(collect_branches=False)
+            keg = saturate(kb, opts)
+            ke = saturate(kb, opts, engine="ke")
+            assert keg.stats.peak_branch_literals == peak
+            assert keg.stats.peak_resident_formulae == peak + len(kb.clauses)
+            assert ke.stats.peak_resident_formulae == \
+                peak + len(CompiledKb(kb).jobs)
 
 
 # Shapes the random KBs rarely or never draw, each named by what it has.

@@ -14,7 +14,7 @@ from .oracle import (BoundsExceededError, Interpretation, OracleBounds,
                      brute_answers, enumerate_models, extract_model,
                      is_consistent, model_check, reference_saturate)
 from .syntax import (ParseError, Query, SourceSpan, parse_kb, parse_query,
-                     render, render_answer_set, render_kb,
-                     render_model_report, render_query)
+                     render_answer_set, render_kb, render_model_report,
+                     render_query)
 
 __version__ = "0.1.0"

@@ -18,11 +18,16 @@ language the engines consume.  One axiom per line, ``#`` comments:
     some R C D          "something R-related to a C is a D"
     all C R D           "everything R-related to a C is a D"
 
+A line is read through ``syntax``'s token layer, as KB and query lines
+are: its tokens are walked by index, every individual, role and concept
+name (inside concept expressions too) follows the KB name rules, and a
+mistake is a ``ParseError`` at its token.  Datatypes, cardinality
+bounds, nominals and Self are recognised and rejected.
+
 Boolean inclusions are put into clause form by distribution, without
 auxiliary names: the expressions stay small and fresh symbols would
 change the answer space of set-variable queries.  Quantified variables
-are freshly named across the whole translation.  Datatypes, cardinality
-bounds, nominals and Self are recognised and rejected.
+are freshly named across the whole translation.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (FourlqsError, KbBuilder, KnowledgeBase, Literal, Member1,
                    Member3, Eq, UniversalClause, Variable, SORT0, SORT1, SORT3)
-from .syntax import LineParser
+from .syntax import _error, _name_problem, _tokens
 
 
 class UnsupportedAxiomError(FourlqsError):
@@ -44,13 +49,21 @@ class UnsupportedAxiomError(FourlqsError):
 Cexpr = Tuple
 
 
-KINDS = ("ConceptAssertion", "RoleAssertion", "Agreement", "Disagreement",
-         "ConceptInclusion", "RoleInclusion", "RoleChainInclusion", "Sym",
-         "Asym", "Ref", "Irref", "Tra", "Dis", "Fun", "ConceptProduct",
-         "ExistsLhsInclusion", "ValueRestriction")
-
 _REJECTED = {"datatype", "drange", "crole", "mincard", "maxcard", "nominal",
              "self", "inverse", "urole", "equiv"}
+
+# Keyword -> (axiom kind, what each operand names: an individual, a role
+# or a concept), for the axioms whose operands are plain names.
+_NAMED = {
+    "assert": ("ConceptAssertion", "ic"), "nassert": ("ConceptAssertion", "ic"),
+    "role": ("RoleAssertion", "iir"), "nrole": ("RoleAssertion", "iir"),
+    "eq": ("Agreement", "ii"), "neq": ("Disagreement", "ii"),
+    "rsub": ("RoleInclusion", "rr"), "dis": ("Dis", "rr"),
+    "sym": ("Sym", "r"), "asym": ("Asym", "r"), "ref": ("Ref", "r"),
+    "irref": ("Irref", "r"), "tra": ("Tra", "r"), "fun": ("Fun", "r"),
+    "product": ("ConceptProduct", "rcc"),
+    "some": ("ExistsLhsInclusion", "rcc"), "all": ("ValueRestriction", "crc"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,106 +113,96 @@ def _stackless(call):
             value = None
 
 
-def _parse_cexpr(p: LineParser):
-    """One concept expression from ``p``; a recursive generator, run by
-    :func:`_stackless`."""
-    tok = p.take()
+class _Misread(Exception):
+    """A diagnostic at token ``args[0]`` of the line being read, with
+    message ``args[1]`` and, if given, kind ``args[2]``."""
+
+
+def _name(toks: List[str], at: int) -> str:
+    tok = toks[at]
+    problem = _name_problem(tok)
+    if problem:
+        raise _Misread(at, problem)
+    return tok
+
+
+def _parse_cexpr(toks: List[str], i: int):
+    """The concept expression that starts at token ``i``, and the index
+    past it; a recursive generator, run by :func:`_stackless`."""
+    tok = toks[i]
     if tok != "(":
         if tok == "top":
-            return ("top",)
+            return ("top",), i + 1
         if tok == "bot":
-            return ("bot",)
+            return ("bot",), i + 1
         if tok == ")":
-            raise p.fail("expected a concept expression", at=p.pos - 1)
-        return ("name", tok)
-    head = p.take()
-    at = p.pos - 1
+            raise _Misread(i, "expected a concept expression")
+        return ("name", _name(toks, i)), i + 1
+    at = i + 1
+    head = toks[at]
+    i = at + 1
     if head == "not":
-        e = yield _parse_cexpr(p)
-        p.expect(")")
-        return ("not", e)
+        e, i = yield _parse_cexpr(toks, i)
+        if toks[i] != ")":
+            raise _Misread(i, f"expected ')', got {toks[i]!r}")
+        return ("not", e), i + 1
     if head in ("and", "or"):
         parts = []
-        while p.peek() != ")":
-            parts.append((yield _parse_cexpr(p)))
-        p.expect(")")
+        while toks[i] != ")":
+            part, i = yield _parse_cexpr(toks, i)
+            parts.append(part)
         if len(parts) < 2:
-            raise p.fail(f"{head} needs at least two operands", at=at)
-        return (head, tuple(parts))
-    raise p.fail(f"expected not, and or or, got {head!r}", at=at)
+            raise _Misread(at, f"{head} needs at least two operands")
+        return (head, tuple(parts)), i + 1
+    raise _Misread(at, f"expected not, and or or, got {head!r}")
+
+
+def _axiom(toks: List[str]) -> DlAxiom:
+    """The axiom of one line's tokens."""
+    kw = toks[0]
+    if kw == "subsume":
+        lhs, i = _stackless(_parse_cexpr(toks, 1))
+        rhs, i = _stackless(_parse_cexpr(toks, i))
+        if i != len(toks):
+            raise _Misread(i, "trailing tokens after subsume", "arity")
+        return DlAxiom("ConceptInclusion", lhs=lhs, rhs=rhs)
+    if kw == "chain":
+        roles = tuple(_name(toks, at) for at in range(1, len(toks)))
+        if len(roles) < 3:
+            raise _Misread(len(toks), "chain needs at least two left-hand "
+                           "roles and a right-hand role", "arity")
+        return DlAxiom("RoleChainInclusion", roles=roles)
+    shape = _NAMED.get(kw)
+    if shape is None:
+        raise _Misread(0, f"unknown axiom keyword {kw!r}")
+    kind, slots = shape
+    operands = {"i": [], "r": [], "c": []}
+    for at, slot in enumerate(slots, start=1):
+        operands[slot].append(_name(toks, at))
+    if len(toks) > len(slots) + 1:
+        raise _Misread(len(slots) + 1, "trailing tokens after axiom", "arity")
+    return DlAxiom(kind, tuple(operands["i"]), tuple(operands["r"]),
+                   tuple(operands["c"]), negated=kw in ("nassert", "nrole"))
 
 
 def parse_dl(text: str) -> List[DlAxiom]:
     """Parse the axiom file format into a list of axioms."""
     axioms: List[DlAxiom] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        p = LineParser(raw, lineno)
-        if not p.toks:
+        body = raw.split("#", 1)[0]
+        toks = _tokens(body)
+        if not toks:
             continue
-        kw = p.take()
-
-        def names(n: int) -> List[str]:
-            out = [p.name() for _ in range(n)]
-            if not p.done():
-                raise p.fail("trailing tokens after axiom", "arity")
-            return out
-
-        if kw in _REJECTED:
+        if toks[0] in _REJECTED:
             raise UnsupportedAxiomError(
-                f"line {lineno}: {kw!r} is outside the supported subset")
-        if kw in ("assert", "nassert"):
-            a, c = names(2)
-            axioms.append(DlAxiom("ConceptAssertion", individuals=(a,),
-                                  concepts=(c,), negated=kw == "nassert"))
-        elif kw in ("role", "nrole"):
-            a, b, r = names(3)
-            axioms.append(DlAxiom("RoleAssertion", individuals=(a, b),
-                                  roles=(r,), negated=kw == "nrole"))
-        elif kw == "eq":
-            a, b = names(2)
-            axioms.append(DlAxiom("Agreement", individuals=(a, b)))
-        elif kw == "neq":
-            a, b = names(2)
-            axioms.append(DlAxiom("Disagreement", individuals=(a, b)))
-        elif kw == "subsume":
-            lhs = _stackless(_parse_cexpr(p))
-            rhs = _stackless(_parse_cexpr(p))
-            if not p.done():
-                raise p.fail("trailing tokens after subsume", "arity")
-            axioms.append(DlAxiom("ConceptInclusion", lhs=lhs, rhs=rhs))
-        elif kw == "rsub":
-            r, s = names(2)
-            axioms.append(DlAxiom("RoleInclusion", roles=(r, s)))
-        elif kw == "chain":
-            rs = []
-            while not p.done():
-                rs.append(p.name())
-            if len(rs) < 3:
-                raise p.fail("chain needs at least two left-hand roles and "
-                             "a right-hand role", "arity")
-            axioms.append(DlAxiom("RoleChainInclusion", roles=tuple(rs)))
-        elif kw in ("sym", "asym", "ref", "irref", "tra", "fun"):
-            (r,) = names(1)
-            kind = {"sym": "Sym", "asym": "Asym", "ref": "Ref",
-                    "irref": "Irref", "tra": "Tra", "fun": "Fun"}[kw]
-            axioms.append(DlAxiom(kind, roles=(r,)))
-        elif kw == "dis":
-            r, s = names(2)
-            axioms.append(DlAxiom("Dis", roles=(r, s)))
-        elif kw == "product":
-            r, c1, c2 = names(3)
-            axioms.append(DlAxiom("ConceptProduct", roles=(r,),
-                                  concepts=(c1, c2)))
-        elif kw == "some":
-            r, c1, c2 = names(3)
-            axioms.append(DlAxiom("ExistsLhsInclusion", roles=(r,),
-                                  concepts=(c1, c2)))
-        elif kw == "all":
-            c1, r, c2 = names(3)
-            axioms.append(DlAxiom("ValueRestriction", roles=(r,),
-                                  concepts=(c1, c2)))
-        else:
-            raise p.fail(f"unknown axiom keyword {kw!r}", at=0)
+                f"line {lineno}: {toks[0]!r} is outside the supported subset")
+        try:
+            axioms.append(_axiom(toks))
+        except IndexError:
+            raise _error(body, lineno, len(toks),
+                         "unexpected end of line") from None
+        except _Misread as bad:
+            raise _error(body, lineno, *bad.args) from None
     return axioms
 
 

@@ -13,13 +13,16 @@ from the slot (element vs set position) and must be globally consistent.
 Queries are a plain sequence of literals where any slot may hold a
 ``?``-prefixed query variable; the empty file is the empty query.
 
-KB, query and DL text (``dlfront``) share one token layer: a line, its
-comment dropped, is split into plain strings by ``str`` methods and read
-by index.  No position is kept per token; a span is computed only for
-the diagnostic that is raised, by matching its one line against
-``_TOKEN``.  KB and query lines share one atom reader, which resolves a
-name once per parse and looks it up in a dict after that; a KB line whose
-tokens were already read is dropped before anything is built.
+KB, query and DL text share one token layer: a line, its comment
+dropped, is split into plain strings by ``_tokens`` and read by index;
+``_name_problem`` says what keeps a token from being a name, and
+``_error`` builds the diagnostic at a token index.  No position is kept
+per token; a span is computed only for the diagnostic that is raised, by
+matching its one line against ``_TOKEN``.  ``dlfront`` reads its axiom
+lines with these three functions.  KB and query lines share one atom
+reader, which resolves a name once per parse and looks it up in a dict
+after that; a KB line whose tokens were already read is dropped before
+anything is built.
 
 Answers and extracted models are rendered as JSON with a fixed schema so
 repeated runs are byte-identical.
@@ -34,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (SORT0, SORT1, SORT3, Eq, FourlqsError, KbBuilder,
                    KnowledgeBase, Literal, Member1, Member3, NamespaceError,
-                   Substitution, UniversalClause, Variable,
+                   Substitution, UniversalClause, Variable, atom_vars,
                    unbound_placeholder)
 
 
@@ -89,48 +92,6 @@ def _error(body: str, lineno: int, at: int, message: str,
     else:
         start = end = spans[-1][1] if spans else 0
     return ParseError(SourceSpan(lineno, start + 1, end - start), message, kind)
-
-
-class LineParser:
-    """Reader over one line's tokens, comment dropped."""
-
-    __slots__ = ("body", "toks", "pos", "lineno")
-
-    def __init__(self, line: str, lineno: int):
-        self.body = line.split("#", 1)[0]
-        self.toks: List[str] = _tokens(self.body)
-        self.pos = 0
-        self.lineno = lineno
-
-    def fail(self, message: str, kind: str = "lex",
-             at: Optional[int] = None) -> ParseError:
-        """A diagnostic at token ``at`` (default ``pos``) or past the end."""
-        return _error(self.body, self.lineno, self.pos if at is None else at,
-                      message, kind)
-
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> str:
-        if self.pos >= len(self.toks):
-            raise self.fail("unexpected end of line")
-        self.pos += 1
-        return self.toks[self.pos - 1]
-
-    def expect(self, text: str) -> None:
-        tok = self.take()
-        if tok != text:
-            raise self.fail(f"expected {text!r}, got {tok!r}", at=self.pos - 1)
-
-    def name(self) -> str:
-        tok = self.take()
-        problem = _name_problem(tok)
-        if problem:
-            raise self.fail(problem, at=self.pos - 1)
-        return tok
 
 
 # Atom head -> (constructor, slot sorts).
@@ -417,16 +378,43 @@ def _render_literal(lit: Literal) -> str:
     return body if lit.positive else f"(not {body})"
 
 
+def _render_clause(cl: UniversalClause) -> str:
+    zs = " ".join(z.name for z in cl.quantified)
+    body = " ".join(_render_literal(d) for d in cl.disjuncts)
+    return f"clause (forall {zs}) (or {body})"
+
+
 def render_kb(kb: KnowledgeBase) -> str:
+    """The text of ``kb``, which ``parse_kb`` reads back as ``kb``.
+
+    Individuals come first, on one ``ind`` line, then literals before
+    clauses, except that the next clause goes first whenever the next
+    literal would name a set or relation before its turn in
+    ``var1_order`` or ``var3_order``.
+    """
     lines = []
     if kb.var0_order:
         lines.append("ind " + " ".join(v.name for v in kb.var0_order))
+    turn = {v: k for order in (kb.var1_order, kb.var3_order)
+            for k, v in enumerate(order)}
+    named = {SORT0: 0, SORT1: 0, SORT3: 0}  # the named prefix of each order
+
+    def name(lits) -> None:
+        for lit in lits:
+            v = atom_vars(lit.atom)[-1]  # the set or relation, if any
+            named[v.sort] = max(named[v.sort], turn.get(v, -1) + 1)
+
+    clauses = kb.clauses
+    j = 0
     for lit in kb.literals:
+        v = atom_vars(lit.atom)[-1]
+        while turn.get(v, -1) > named[v.sort] and j < len(clauses):
+            lines.append(_render_clause(clauses[j]))
+            name(clauses[j].disjuncts)
+            j += 1
         lines.append(f"lit {_render_literal(lit)}")
-    for cl in kb.clauses:
-        zs = " ".join(z.name for z in cl.quantified)
-        body = " ".join(_render_literal(d) for d in cl.disjuncts)
-        lines.append(f"clause (forall {zs}) (or {body})")
+        name((lit,))
+    lines.extend(_render_clause(cl) for cl in clauses[j:])
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -466,21 +454,3 @@ def render_model_report(interp) -> str:
     return json.dumps(
         {"domain": list(interp.domain), "sets1": sets1, "sets3": sets3},
         sort_keys=True)
-
-
-def render(entity) -> str:
-    """Single rendering entry point; dispatches on the entity type.
-
-    Knowledge bases and queries render to their text formats; answer
-    sets and model reports to their JSON schemas.  The latter two are
-    recognised structurally to keep this module import-light.
-    """
-    if isinstance(entity, KnowledgeBase):
-        return render_kb(entity)
-    if isinstance(entity, Query):
-        return render_query(entity)
-    if hasattr(entity, "answers"):
-        return render_answer_set([(a.binding, a.merges) for a in entity])
-    if hasattr(entity, "domain") and hasattr(entity, "assign1"):
-        return render_model_report(entity)
-    raise TypeError(f"cannot render {type(entity).__name__}")

@@ -275,6 +275,57 @@ class TestDlParsing:
         assert parse_kb(rendered) == kb
 
 
+# DL text -> its diagnostic: ``str(err)``, ``err.kind`` and the span's
+# (line, column, length) for a ``ParseError``, or the message of an
+# ``UnsupportedAxiomError``.
+DL_GOLDEN = [
+    ("frobnicate A B",
+     ("1:1: unknown axiom keyword 'frobnicate'", "lex", (1, 1, 10))),
+    ("assert a", ("1:9: unexpected end of line", "lex", (1, 9, 0))),
+    ("assert a ?x",
+     ("1:10: query variables are not allowed here", "lex", (1, 10, 2))),
+    ("assert a (", ("1:10: expected a name, got '('", "lex", (1, 10, 1))),
+    ("rsub R S T",
+     ("1:10: trailing tokens after axiom", "arity", (1, 10, 1))),
+    ("subsume A", ("1:10: unexpected end of line", "lex", (1, 10, 0))),
+    ("subsume A B C",
+     ("1:13: trailing tokens after subsume", "arity", (1, 13, 1))),
+    ("subsume ) B",
+     ("1:9: expected a concept expression", "lex", (1, 9, 1))),
+    ("subsume (and A) B",
+     ("1:10: and needs at least two operands", "lex", (1, 10, 3))),
+    ("subsume (xor A B) C",
+     ("1:10: expected not, and or or, got 'xor'", "lex", (1, 10, 3))),
+    ("subsume (not A B", ("1:16: expected ')', got 'B'", "lex", (1, 16, 1))),
+    ("chain R S",
+     ("1:10: chain needs at least two left-hand roles and a right-hand role",
+      "arity", (1, 10, 0))),
+    ("assert a A\nrole a", ("2:7: unexpected end of line", "lex", (2, 7, 0))),
+    ("mincard 2 R A B", "line 1: 'mincard' is outside the supported subset"),
+    # Names inside concept expressions follow the KB name rules, so
+    # ``translate`` never prints a KB that ``check`` rejects.
+    ("subsume ?x B\nassert a B",
+     ("1:9: query variables are not allowed here", "lex", (1, 9, 2))),
+    ("subsume (and é top) B",
+     ("1:14: expected a name, got 'é'", "lex", (1, 14, 1))),
+]
+
+
+class TestDlDiagnostics:
+    @pytest.mark.parametrize("text,expected", DL_GOLDEN)
+    def test_golden(self, text, expected):
+        try:
+            parse_dl(text)
+        except ParseError as err:
+            span = err.span
+            got = (str(err), err.kind, (span.line, span.column, span.length))
+        except UnsupportedAxiomError as err:
+            got = str(err)
+        else:
+            got = None
+        assert got == expected
+
+
 class TestDeepNesting:
     """Parsing and clause conversion keep their pending work on explicit
     stacks, so nesting is bounded by memory, not by the recursion limit."""

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from fourlqs import parse_kb, parse_query, var0, var3
 from fourlqs.bench import gen_random_kb, gen_random_query
-from fourlqs.core import Member3
-from fourlqs.dlfront import UnsupportedAxiomError, parse_dl
+from fourlqs.core import Member3, NamespaceError
+from fourlqs.dlfront import UnsupportedAxiomError, parse_dl, translate_kb
 from fourlqs.syntax import (_TOKEN, ParseError, _tokens, render_answer_set,
                             render_kb, render_query)
 from fourlqs import substitution0
@@ -301,7 +301,8 @@ class TestParserFuzz:
     """Every mutant either parses or raises ``ParseError`` (DL input may
     also name an unsupported construct), with a span that points into
     the input and a message that starts with it.  A KB mutant that
-    parses renders to text that parses back to the same conjuncts."""
+    parses, or the translation of a DL mutant that parses, renders to
+    text that parses back to the same KB."""
 
     @staticmethod
     def _check(grammar: str, text: str, kb=None):
@@ -324,20 +325,22 @@ class TestParserFuzz:
         query = gen_random_query(rng, parse_kb(text))
         kb = self._check("kb", _mutate(text, kb_edits))
         if kb is not None:
-            # ``render_kb`` writes every literal before every clause, so a
-            # set name that first appears in a clause may move in its order.
-            again = parse_kb(render_kb(kb))
-            assert (again.literals, again.clauses, again.var0_order) == (
-                kb.literals, kb.clauses, kb.var0_order)
-            assert set(again.var1_order) == set(kb.var1_order)
-            assert set(again.var3_order) == set(kb.var3_order)
+            assert parse_kb(render_kb(kb)) == kb
         self._check("query", _mutate(query, q_edits), parse_kb(text))
 
     @settings(max_examples=100, deadline=None)
     @given(edits=_EDITS)
     def test_dl_mutants(self, edits):
-        text = ITALY_DL + "subsume (and A (not B)) (or C top)\nchain R S T\n"
-        self._check("dl", _mutate(text, edits))
+        # The last line names a concept after the TBox has named others.
+        text = (ITALY_DL + "subsume (and A (not B)) (or C top)\nchain R S T\n"
+                "subsume A B\nassert a C\n")
+        axioms = self._check("dl", _mutate(text, edits))
+        if axioms is not None:
+            try:
+                kb = translate_kb(axioms)
+            except NamespaceError:      # a name used at two sorts
+                return
+            assert parse_kb(render_kb(kb)) == kb
 
 
 class TestParseQuery:
@@ -391,6 +394,20 @@ class TestRendering:
         for _ in range(100):
             text = gen_random_kb(rng)
             kb = parse_kb(text)
+            assert parse_kb(render_kb(kb)) == kb
+
+    def test_round_trip_keeps_symbol_order(self):
+        # A clause names B before the literal names A.
+        kb = parse_kb("clause (forall z) (or (in z B))\nlit (in a A)")
+        assert [v.name for v in kb.var1_order] == ["B", "A"]
+        assert parse_kb(render_kb(kb)) == kb
+
+    def test_round_trip_shuffled_sample(self):
+        rng = random.Random(20241)
+        for _ in range(100):
+            lines = gen_random_kb(rng).splitlines()
+            rng.shuffle(lines)
+            kb = parse_kb("\n".join(lines))
             assert parse_kb(render_kb(kb)) == kb
 
     def test_answer_set_json_schema(self):

@@ -20,9 +20,10 @@ language the engines consume.  One axiom per line, ``#`` comments:
 
 A line is read through ``syntax``'s token layer, as KB and query lines
 are: its tokens are walked by index, every individual, role and concept
-name (inside concept expressions too) follows the KB name rules, and a
-mistake is a ``ParseError`` at its token.  Datatypes, cardinality
-bounds, nominals and Self are recognised and rejected.
+name (inside concept expressions too) follows the KB name rules and
+keeps one sort across the file, and a mistake is a ``ParseError`` at
+its token.  Datatypes, cardinality bounds, nominals and Self are
+recognised and rejected.
 
 Boolean inclusions are put into clause form by distribution, without
 auxiliary names: the expressions stay small and fresh symbols would
@@ -33,7 +34,7 @@ are freshly named across the whole translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (FourlqsError, KbBuilder, KnowledgeBase, Literal, Member1,
                    Member3, Eq, UniversalClause, Variable, SORT0, SORT1, SORT3)
@@ -64,6 +65,8 @@ _NAMED = {
     "product": ("ConceptProduct", "rcc"),
     "some": ("ExistsLhsInclusion", "rcc"), "all": ("ValueRestriction", "crc"),
 }
+# The sort of each kind of operand in _NAMED.
+_SLOT_SORTS = {"i": SORT0, "r": SORT3, "c": SORT1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,15 +121,22 @@ class _Misread(Exception):
     message ``args[1]`` and, if given, kind ``args[2]``."""
 
 
-def _name(toks: List[str], at: int) -> str:
+def _name(toks: List[str], at: int, sort: int, sorts: Dict[str, int]) -> str:
+    """The name at token ``at``, used at ``sort``; ``sorts`` holds the
+    sort of every name read so far, so a second sort is a mistake at
+    this token, as in a KB."""
     tok = toks[at]
     problem = _name_problem(tok)
     if problem:
         raise _Misread(at, problem)
+    known = sorts.setdefault(tok, sort)
+    if known != sort:
+        raise _Misread(at, f"name {tok!r} used at sort {known} and sort "
+                       f"{sort}", "sort")
     return tok
 
 
-def _parse_cexpr(toks: List[str], i: int):
+def _parse_cexpr(toks: List[str], i: int, sorts: Dict[str, int]):
     """The concept expression that starts at token ``i``, and the index
     past it; a recursive generator, run by :func:`_stackless`."""
     tok = toks[i]
@@ -137,19 +147,19 @@ def _parse_cexpr(toks: List[str], i: int):
             return ("bot",), i + 1
         if tok == ")":
             raise _Misread(i, "expected a concept expression")
-        return ("name", _name(toks, i)), i + 1
+        return ("name", _name(toks, i, SORT1, sorts)), i + 1
     at = i + 1
     head = toks[at]
     i = at + 1
     if head == "not":
-        e, i = yield _parse_cexpr(toks, i)
+        e, i = yield _parse_cexpr(toks, i, sorts)
         if toks[i] != ")":
             raise _Misread(i, f"expected ')', got {toks[i]!r}")
         return ("not", e), i + 1
     if head in ("and", "or"):
         parts = []
         while toks[i] != ")":
-            part, i = yield _parse_cexpr(toks, i)
+            part, i = yield _parse_cexpr(toks, i, sorts)
             parts.append(part)
         if len(parts) < 2:
             raise _Misread(at, f"{head} needs at least two operands")
@@ -157,17 +167,18 @@ def _parse_cexpr(toks: List[str], i: int):
     raise _Misread(at, f"expected not, and or or, got {head!r}")
 
 
-def _axiom(toks: List[str]) -> DlAxiom:
-    """The axiom of one line's tokens."""
+def _axiom(toks: List[str], sorts: Dict[str, int]) -> DlAxiom:
+    """The axiom of one line's tokens; see :func:`_name` for ``sorts``."""
     kw = toks[0]
     if kw == "subsume":
-        lhs, i = _stackless(_parse_cexpr(toks, 1))
-        rhs, i = _stackless(_parse_cexpr(toks, i))
+        lhs, i = _stackless(_parse_cexpr(toks, 1, sorts))
+        rhs, i = _stackless(_parse_cexpr(toks, i, sorts))
         if i != len(toks):
             raise _Misread(i, "trailing tokens after subsume", "arity")
         return DlAxiom("ConceptInclusion", lhs=lhs, rhs=rhs)
     if kw == "chain":
-        roles = tuple(_name(toks, at) for at in range(1, len(toks)))
+        roles = tuple(_name(toks, at, SORT3, sorts)
+                      for at in range(1, len(toks)))
         if len(roles) < 3:
             raise _Misread(len(toks), "chain needs at least two left-hand "
                            "roles and a right-hand role", "arity")
@@ -178,7 +189,7 @@ def _axiom(toks: List[str]) -> DlAxiom:
     kind, slots = shape
     operands = {"i": [], "r": [], "c": []}
     for at, slot in enumerate(slots, start=1):
-        operands[slot].append(_name(toks, at))
+        operands[slot].append(_name(toks, at, _SLOT_SORTS[slot], sorts))
     if len(toks) > len(slots) + 1:
         raise _Misread(len(slots) + 1, "trailing tokens after axiom", "arity")
     return DlAxiom(kind, tuple(operands["i"]), tuple(operands["r"]),
@@ -188,6 +199,7 @@ def _axiom(toks: List[str]) -> DlAxiom:
 def parse_dl(text: str) -> List[DlAxiom]:
     """Parse the axiom file format into a list of axioms."""
     axioms: List[DlAxiom] = []
+    sorts: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         toks = _tokens(body)
@@ -197,7 +209,7 @@ def parse_dl(text: str) -> List[DlAxiom]:
             raise UnsupportedAxiomError(
                 f"line {lineno}: {toks[0]!r} is outside the supported subset")
         try:
-            axioms.append(_axiom(toks))
+            axioms.append(_axiom(toks, sorts))
         except IndexError:
             raise _error(body, lineno, len(toks),
                          "unexpected end of line") from None

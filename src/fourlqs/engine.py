@@ -22,8 +22,9 @@ which is exactly the comparison the benchmark harness isolates:
   be entered: when the fulfilling child's first scan finds no open job
   and the split literal watches no later job, every later job stays
   discharged on every child of the complement chain, so keg counts that
-  chain's leaves from the carried list alone (the split's *tail*; a KB
-  that mentions equality takes none).
+  chain's leaves from the carried list alone and pushes no entry for it
+  (the split's *tail*; a KB that mentions equality takes none, nor does
+  a split where the branch limit or a poll could land on its leaves).
   ``peak_resident_formulae`` still counts the current branch only.
 * ``ke``   -- classic elimination over an up-front grounding: every
   instance is materialised before exploration and lives on the branch as
@@ -49,9 +50,10 @@ The explorer is one loop over an explicit stack of pending complement
 children, so the split rule, the closure test, elimination, leaf
 accounting and undo are written once; keg's tails are counted by one
 inner loop that replays, child by child, what entering the chain would
-count, limits and polls included.  All three engines also share the
-instantiation order (clauses in KB order, tuples lexicographic in
-individual order) and the equality-normalisation phase, so branch
+count, and are declined where a branch limit or a poll could land, so
+every stack entry is a child still to enter.  All three engines also
+share the instantiation order (clauses in KB order, tuples lexicographic
+in individual order) and the equality-normalisation phase, so branch
 counts and branch literal sets agree across engines.  A KB's depth is
 bounded by memory, not by the interpreter's recursion limit.
 
@@ -1005,20 +1007,22 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     the branch, so those watches are on the parent branch, and branches
     only grow: each child of the complement chain, the entry's child, the
     complement child of each split on its carried list and so on, also
-    ends at its first select.  So once the fulfilling leaf is counted,
-    the entry is popped and its chain counted from the carried list in
-    one loop, with no literal marked, no select and no push.  It
+    ends at its first select.  So the split pushes no entry, and once the
+    fulfilling leaf is counted, its chain is counted from the carried list
+    in one loop, with no literal marked, no select and no push.  It
     replays what entering the children counts, in depth-first order: a
-    split on the list's first literal (one ``pb_apps``, depth + 1, an
-    open leaf), dropping copies of that literal, an open leaf when its
+    split on the list's first literal (one ``pb_apps``, depth + 1, an open
+    leaf), dropping copies of that literal, an open leaf when its
     complement is on the list, and at the end one ``rule_apps`` with an
-    open leaf for one literal left or a closed leaf for none.  Each leaf
-    checks the limits and counts down to ``poll`` as a child would; for a
-    poll at the fulfilling leaf of a split in the chain, that split's
-    pending entry is put on the stack, and a poll that takes it ends the
-    chain there.  A KB that
-    mentions equality takes no tail: a chain leaf might need the equality
-    phase, and telling which costs more than such a KB's few tails save.
+    open leaf for one literal left or a closed leaf for none.  The chain
+    has at most one leaf per literal of the list, or one, so with the
+    fulfilling leaf a tail has at most ``room`` leaves: ``len(rest) + 1``,
+    or 2 for an empty list or ``None``.  A split is a tail only where
+    neither the branch limit nor the next poll falls on one of them, so
+    the chain checks neither; it still reads the clock at each split and
+    each leaf.  A KB that mentions equality takes no tail: a chain leaf
+    might need the equality phase, and telling which costs more than such
+    a KB's few tails save.
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child), such as a guiding path taken off
@@ -1105,7 +1109,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     timed = deadline is not None
     limits = timed or max_branches is not None or poll is not None
     time_limit = f"time limit {opts.max_seconds}s exceeded"
-    countdown = POLL_LEAVES
+    # The counted leaves before the leaf that polls next.
+    next_poll = POLL_LEAVES - 1
 
     # Universal clauses on the branch; ke's up-front grounding replaces
     # them.
@@ -1187,9 +1192,9 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     if has_eq:
         eqlits += [divmod(l >> 2, kdim) for l in order if l in eq_pos]
 
-    # The entry of a split whose tail (see the docstring) is counted
-    # after the next counted leaf, its fulfilling one.
-    tail = None
+    # Set at a split whose tail (see the docstring) is counted after the
+    # next counted leaf, its fulfilling one.
+    tail = False
 
     limited = None
     leaf = True if root_closed else None  # True closed, False open
@@ -1206,12 +1211,10 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     if timed and perf_counter() > deadline:
                         limited = time_limit
                         break
-                    if poll is not None:
-                        countdown -= 1
-                        if not countdown:
-                            countdown = POLL_LEAVES
-                            if poll(stack, nopen + nclosed):
-                                break
+                    if poll is not None and nopen + nclosed == next_poll:
+                        next_poll += POLL_LEAVES
+                        if poll(stack, nopen + nclosed):
+                            break
                 n = len(order)
                 if n > peak_lits:
                     peak_lits = n
@@ -1270,95 +1273,64 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     if collect:
                         collected.append((tuple(order), ()))
                 if tail:
-                    # Unless a poll handed the entry over, count the
-                    # split's complement chain.  Each child is its split's
-                    # complement on the last child's trail and carries
-                    # the rest of the list; ``n`` is the length of its
-                    # leaf, which adds ``x`` unless that is -1.
-                    if stack and stack[-1] is tail:
-                        stack.pop()
-                        on[order.pop()] = False
-                        _, _, _, lit, j, depth, rest = tail
-                        n = len(order) + 1
-                        if collect:
-                            trail = (*order, lit)
-                        done = False
-                        while True:
-                            x = -1
-                            split = closed = False
-                            if rest is not None:
-                                if len(rest) > 1:
-                                    if timed and perf_counter() > deadline:
-                                        limited = time_limit
-                                        break
-                                    pb_apps += 1
-                                    depth += 1
-                                    if depth > peak_depth:
-                                        peak_depth = depth
-                                    split = True
-                                    x = rest[0]
-                                    rest = rest[1:]
-                                    if (x ^ 1) in rest:
-                                        rest = None
-                                    elif x in rest:
-                                        rest = [l for l in rest if l != x]
-                                    n += 1
-                                else:
-                                    rule_apps += 1
-                                    if rest:
-                                        x = rest[0]
-                                        n += 1
-                                    else:
-                                        closed = True
-                            if limits:
-                                if (max_branches is not None
-                                        and nopen + nclosed >= max_branches):
-                                    limited = (f"branch limit {max_branches}"
-                                               f" reached")
-                                    break
+                    # Count the split's complement chain; ``bh``, ``rest``
+                    # and ``depth`` are still the split's.  Each child is
+                    # its split's complement on the last child's trail and
+                    # carries the rest of the list; ``n`` is the length of
+                    # its leaf, which adds ``x`` unless that is -1.
+                    tail = False
+                    on[order.pop()] = False
+                    n = len(order) + 1
+                    if collect:
+                        trail = (*order, bh ^ 1)
+                    split = True
+                    while split:
+                        x = -1
+                        split = closed = False
+                        if rest is not None:
+                            if len(rest) > 1:
                                 if timed and perf_counter() > deadline:
                                     limited = time_limit
                                     break
-                                if poll is not None:
-                                    countdown -= 1
-                                    if not countdown:
-                                        countdown = POLL_LEAVES
-                                        if split:
-                                            # The entry entering the
-                                            # split would have pushed.
-                                            pending = (
-                                                n - 1, 0, 0, x ^ 1,
-                                                j if rest is not None
-                                                else j + 1, depth, rest)
-                                            stack.append(pending)
-                                        if poll(stack, nopen + nclosed):
-                                            break
-                                        if split:
-                                            if stack and stack[-1] is pending:
-                                                stack.pop()
-                                            else:  # handed over
-                                                split = False
-                            if n > peak_lits:
-                                peak_lits = n
-                            if closed:
-                                nclosed += 1
-                            elif n > length_bound:
-                                raise AssertionError(
-                                    f"branch grew to {n} literals, above "
-                                    f"the height bound {length_bound}")
+                                pb_apps += 1
+                                depth += 1
+                                if depth > peak_depth:
+                                    peak_depth = depth
+                                split = True
+                                x = rest[0]
+                                rest = rest[1:]
+                                if (x ^ 1) in rest:
+                                    rest = None
+                                elif x in rest:
+                                    rest = [l for l in rest if l != x]
+                                n += 1
                             else:
-                                nopen += 1
-                                if collect:
-                                    collected.append((
-                                        trail if x < 0 else (*trail, x), ()))
-                            if not split:
-                                done = True
-                                break
-                            if collect:
-                                trail = (*trail, x ^ 1)
-                        if not done:
+                                rule_apps += 1
+                                if rest:
+                                    x = rest[0]
+                                    n += 1
+                                else:
+                                    closed = True
+                        if timed and perf_counter() > deadline:
+                            limited = time_limit
                             break
-                    tail = None
+                        if n > peak_lits:
+                            peak_lits = n
+                        if closed:
+                            nclosed += 1
+                        elif n > length_bound:
+                            raise AssertionError(
+                                f"branch grew to {n} literals, above the "
+                                f"height bound {length_bound}")
+                        else:
+                            nopen += 1
+                            if collect:
+                                collected.append((
+                                    trail if x < 0 else (*trail, x), ()))
+                        if split and collect:
+                            trail = (*trail, x ^ 1)
+                    if limited:
+                        break
             if not stack:
                 break
             so, se, sr, lit, j, depth, carried = stack.pop()
@@ -1429,6 +1401,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         elif resumes:
             rest = missing[1:]
             if (bh ^ 1) in rest:
+                rest = None
                 entry = (len(order), len(eqlits), len(resident), bh ^ 1,
                          j + 1, depth, None)
             else:
@@ -1436,12 +1409,14 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     rest = [l for l in rest if l != bh]
                 entry = (len(order), len(eqlits), len(resident), bh ^ 1, j,
                          depth, rest)
-            stack.append(entry)
             if not (has_eq and bh in eq_marked):
                 # Enter the fulfilling child here, so that its first
                 # select is seen: when it finds no open job, the split is
-                # a tail unless its literal watches a later job or the KB
-                # mentions equality.
+                # a tail unless its literal watches a later job, the KB
+                # mentions equality, or the branch limit or the poll could
+                # land on one of its leaves: the fulfilling one and a
+                # chain of at most one per literal of ``rest``, or one,
+                # ``room`` in all.
                 on[bh] = True
                 order.append(bh)
                 if depth > peak_depth:
@@ -1451,10 +1426,18 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                 if selected is None:
                     leaf = False
                     if not has_eq and bh not in watch[j:]:
-                        tail = entry
+                        room = len(rest) + 1 if rest else 2
+                        if ((max_branches is None
+                                or nopen + nclosed + room <= max_branches)
+                                and (poll is None
+                                     or nopen + nclosed + room <= next_poll)):
+                            tail = True
+                            continue
                 else:  # the child acts on the selected list as if carried
                     j, carried = selected
+                stack.append(entry)
                 continue
+            stack.append(entry)
         else:
             stack.append((len(order), len(eqlits), len(resident), bh ^ 1, j,
                           depth, None))

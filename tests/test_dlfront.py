@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from fourlqs import parse_kb, saturate, var1, var3
-from fourlqs.core import Eq, Literal, Member3, UniversalClause
+from fourlqs.core import Eq, Literal, Member3, NamespaceError, UniversalClause
 from fourlqs.dlfront import (DlAxiom, UnsupportedAxiomError, parse_dl,
                              translate_axiom, translate_kb)
 from fourlqs.oracle import Interpretation, model_check
@@ -308,6 +308,11 @@ DL_GOLDEN = [
      ("1:9: query variables are not allowed here", "lex", (1, 9, 2))),
     ("subsume (and é top) B",
      ("1:14: expected a name, got 'é'", "lex", (1, 14, 1))),
+    # A name keeps its sort across lines.
+    ("assert a A\nassert A b",
+     ("2:8: name 'A' used at sort 1 and sort 0", "sort", (2, 8, 1))),
+    ("role a b R\nsubsume R B",
+     ("2:9: name 'R' used at sort 3 and sort 1", "sort", (2, 9, 1))),
 ]
 
 
@@ -324,6 +329,14 @@ class TestDlDiagnostics:
         else:
             got = None
         assert got == expected
+
+    def test_hand_built_axioms_at_two_sorts(self):
+        """``parse_dl`` reports a name at two sorts at its token; a
+        hand-built axiom list still meets the KB builder's check."""
+        axioms = [DlAxiom("ConceptAssertion", ("a",), concepts=("A",)),
+                  DlAxiom("ConceptAssertion", ("A",), concepts=("b",))]
+        with pytest.raises(NamespaceError, match="used at sort 1 and sort 0"):
+            translate_kb(axioms)
 
 
 class TestDeepNesting:

@@ -395,16 +395,20 @@ class TestDeterminismAndLimits:
         with every engine, since all three explore one tree in one
         order: the open and closed counts, the rule counts, both peaks
         and the collected branches agree, on KBs with and without
-        splits, merges and closed branches.  Serial only: a tripped
+        splits, merges and closed branches.  keg's tails and the draws
+        with five disjuncts put limits at the edge of a complement
+        chain, where keg declines the tail.  Serial only: a tripped
         ``--workers 2`` run's counts vary from run to run."""
         from fourlqs.bench import BenchConfig, gen_family
-        texts = []
+        texts = list(TAIL_KBS.values())
         for n in (1, 2, 3):
             family = gen_family(BenchConfig(individuals=n, clauses=1))
             texts += [family, family + NOT_A]
         rng = random.Random("tripped")
         texts += [gen_random_kb(rng, max_individuals=3, max_clauses=5,
                                 max_quantifiers=2, max_ground=6)
+                  for _ in range(60)]
+        texts += [gen_random_kb(rng, max_disjuncts=5, max_ground=5)
                   for _ in range(60)]
         kbs = [parse_kb(t) for t in texts] + [_ontology_kb()]
         tripped = 0
@@ -696,26 +700,55 @@ class TestProbeHandOver:
         assert forks
         _assert_no_children()
 
+    @pytest.mark.parametrize("every", [1, 3, 7])
     @pytest.mark.parametrize("kb", ["7058", "850"])
-    def test_poll_inside_tails_equals_serial(self, forks, monkeypatch, kb):
-        """With a poll at every leaf, the probe hands over and the parent
-        merges inside keg's tails (see ``_run``): a two-worker run still
-        equals serial in every field."""
+    def test_polls_between_tails_equal_serial(self, forks, monkeypatch, kb,
+                                              every):
+        """With a poll every ``every`` leaves, the probe hands over and
+        the parent merges between keg's tails, some taken and some
+        declined because a poll could land on their leaves (see
+        ``_run``): a two-worker run still equals serial in every
+        field."""
         kb = _paper_kb(NOT_AB) if kb == "7058" else _product_850_kb()
         serial = saturate(kb)
-        monkeypatch.setattr(engine_module, "POLL_LEAVES", 1)
+        monkeypatch.setattr(engine_module, "POLL_LEAVES", every)
         res = saturate(kb, EngineOptions(workers=2))
         assert forks
         assert self._fields(res) == self._fields(serial)
         _assert_no_children()
 
+    @pytest.mark.parametrize("engine", ["keg", "ke", "foke"])
+    def test_polls_land_every_poll_leaves(self, monkeypatch, engine):
+        """A serial run polls before counting exactly every
+        ``POLL_LEAVES``-th leaf, so the poll reads P*i - 1 leaves for
+        each i up to the total over P.  keg takes a tail only where no
+        poll can land on its leaves, and its chain polls nowhere."""
+        from fourlqs.engine import CompiledKb, _run
+        opts = EngineOptions(collect_branches=False)
+        for kb in (_product_850_kb(), _paper_kb(NOT_AB),
+                   parse_kb(TAIL_KBS["repeated"])):
+            comp = CompiledKb(kb)
+            serial = _run(comp, opts, engine)
+            total = serial[0]["open"] + serial[0]["closed"]
+            for every in (1, 2, 3, 5, 7, 128):
+                monkeypatch.setattr(engine_module, "POLL_LEAVES", every)
+                seen = []
+
+                def poll(stack, leaves):
+                    seen.append(leaves)
+                    return False
+
+                assert _run(comp, opts, engine, poll=poll) == serial
+                assert seen == [every * i - 1
+                                for i in range(1, total // every + 1)], every
+
     @pytest.mark.parametrize("most", [1, 3, 16])
     def test_hand_over_at_every_leaf(self, monkeypatch, most):
-        """A poll may take the shallowest entries at any leaf, one inside
-        a tail included, where the complement child's entry is the top of
-        the stack.  For each leaf of the 850-branch KB, a run that hands
-        over ``most`` entries there, merged with the runs of the paths it
-        handed over, equals the serial run."""
+        """A poll may take the shallowest entries at any leaf.  With a
+        poll at every leaf, keg takes no tail, so every complement child
+        has its entry on the stack.  For each leaf of the 850-branch KB,
+        a run that hands over ``most`` entries there, merged with the
+        runs of the paths it handed over, equals the serial run."""
         from fourlqs.engine import CompiledKb, _guiding_paths, _run
         from fourlqs.parallel import _Merge
         monkeypatch.setattr(engine_module, "POLL_LEAVES", 1)

@@ -78,6 +78,9 @@ class BenchConfig:
         if len(set(self.engines)) < len(self.engines):
             raise InvalidConfigError(f"engines repeated in "
                                      f"{','.join(self.engines)!r}")
+        if self.individuals > len(_INDIVIDUALS):
+            raise InvalidConfigError(f"{self.family} family supports up to "
+                                     f"{len(_INDIVIDUALS)} individuals")
 
 
 def gen_family(cfg: BenchConfig) -> str:
@@ -94,10 +97,6 @@ def gen_family(cfg: BenchConfig) -> str:
 
 
 def _gen_product_rule(individuals: int, clauses: int) -> str:
-    if individuals > len(_INDIVIDUALS):
-        raise InvalidConfigError(
-            f"product-rule family supports up to {len(_INDIVIDUALS)} "
-            "individuals")
     lines = [f"lit (in {_INDIVIDUALS[i]} D)" for i in range(individuals)]
     for j in range(clauses):
         sfx = "" if clauses == 1 else str(j + 1)

@@ -206,8 +206,8 @@ class CompiledKb:
        over the equality keys.
     """
 
-    __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "kk", "astep",
-                 "n1", "base1", "base3", "nkeys", "baseq", "symkey", "nmarks",
+    __slots__ = ("kb", "inds", "set1s", "set3s", "nsym", "k", "astep", "n1",
+                 "base1", "base3", "nkeys", "baseq", "symkey", "nmarks",
                  "ground_lits", "clause_specs", "jobs", "_instances",
                  "eq_pos", "neg_eq_diag", "eq_marked", "has_eq",
                  "length_bound")
@@ -219,7 +219,7 @@ class CompiledKb:
         self.set3s = set3s = list(kb.var3_order)
         nind = len(inds)
         self.k = k = nind or 1
-        self.kk = kk = k * k
+        kk = k * k
         self.astep = astep = 4 * k
         self.n1 = n1 = len(set1s)
         self.nsym = 1 + n1 + len(set3s)
@@ -451,8 +451,8 @@ class _ExtentMemo(dict):
     """One set's extent texts under one merge map, keyed by the set's
     member mask (see :class:`ModelBuilder`); an entry is laid out on
     first sight.  ``layout`` is whether the set is a set1, its symbol's
-    first key, the merge map, the map's keys in slot order, the
-    individuals' name ranks and quoted names, and k."""
+    first key, the map's keys in slot order, the individuals' name ranks
+    and quoted names, and k."""
 
     __slots__ = ("layout",)
 
@@ -460,21 +460,18 @@ class _ExtentMemo(dict):
         """The JSON text inside the extent's brackets.  ``members`` has
         bit ``4 * s`` set for each slot ``s`` whose key is on the branch
         as a positive member literal of the set: an individual, or a pair
-        of them, rewritten through the merge map.  Sorted by name rank
-        and deduplicated."""
-        set1, first, sigma_map, keys, rank, quoted, k = self.layout
+        of them, already rewritten through the merge map.  Sorted by name
+        rank and deduplicated."""
+        set1, first, keys, rank, quoted, k = self.layout
         flags = bin(members)[:1:-1]  # flags[i] is "1" for bit i
         frags = {}
         i = flags.find("1")
         while i >= 0:
             if set1:
                 a = keys[i >> 2] - first
-                a = sigma_map.get(a, a)
                 frags[rank[a]] = quoted[a]
             else:
                 a, b = divmod(keys[i >> 2] - first, k)
-                a = sigma_map.get(a, a)
-                b = sigma_map.get(b, b)
                 frags[rank[a] * k + rank[b]] = f"[{quoted[a]}, {quoted[b]}]"
             i = flags.find("1", i + 4)
         text = self[members] = ", ".join([frags[r] for r in sorted(frags)])
@@ -517,7 +514,8 @@ class ModelBuilder:
     ``syntax.render_model_report`` gives for ``oracle.extract_model``'s
     model of the same branch: the merged individuals as domain, and per
     set variable (keys sorted) the sorted, deduplicated extent read off
-    the positive membership literals.  It makes every check
+    the positive membership literals, which the equality phase has
+    already rewritten through the merge map.  It makes every check
     ``extract_model`` makes, as bit operations over the branch:
 
     * no complementary pair;
@@ -611,8 +609,9 @@ class ModelBuilder:
     def _merged(self, sigma_items: Tuple[Tuple[int, int], ...]) -> _MapRender:
         """The render state of one merge map, built on its first branch:
         the fulfilment table over every clause instance on the merged
-        individuals, instance bits in clause-then-tau order; no literal
-        met yet; an empty extent memo per set; and the domain prefix."""
+        individuals, its constants rewritten by :meth:`CompiledKb.rewrite`,
+        instance bits in clause-then-tau order; no literal met yet; an
+        empty extent memo per set; and the domain prefix."""
         comp = self.comp
         st = _MapRender()
         sigma_map = dict(sigma_items)
@@ -626,19 +625,10 @@ class ModelBuilder:
         for m, specs in comp.clause_specs:
             merged = specs  # with no merges, the clause's own disjuncts
             if sigma_map:
-                merged = []
-                for const, ia, ib in specs:
-                    kind, sym, a, b = comp.fields(const)
-                    if kind == KIND_IN1:  # its individual is the 2nd slot
-                        if ib < 0:
-                            a = sigma_map.get(a, a)
-                    else:
-                        if ia < 0:
-                            a = sigma_map.get(a, a)
-                        if ib < 0:
-                            b = sigma_map.get(b, b)
-                    merged.append((comp.pack(kind, sym, a, b, const & 1),
-                                   ia, ib))
+                # A quantified slot holds 0 in the constant, which no map
+                # moves: _normalize_eqs sends a class to its least member.
+                merged = [(comp.rewrite(const, sigma_map), ia, ib)
+                          for const, ia, ib in specs]
             for tau in itertools.product(canon, repeat=m):
                 for l, ia, ib in merged:  # CompiledKb.instantiate, inlined
                     if ia >= 0:
@@ -658,8 +648,8 @@ class ModelBuilder:
         st.extents = extents = []
         for set1, first in self._sets:
             memo = _ExtentMemo()
-            memo.layout = (set1, first, sigma_map, st.keys, self._rank,
-                           self._quoted, comp.k)
+            memo.layout = (set1, first, st.keys, self._rank, self._quoted,
+                           comp.k)
             extents.append(memo)
         st.prefix = ('{"domain": [' + ", ".join([self._quoted[c]
                                                 for c in canon])
@@ -686,8 +676,8 @@ class ModelBuilder:
 
     def render(self, lit_ints: Tuple[int, ...],
                sigma_items: Tuple[Tuple[int, int], ...]) -> str:
-        """The model report text of one packed branch: its literal
-        integers and its merge map's sorted items."""
+        """The model report text of a packed branch: its literal integers,
+        already rewritten through its merge map, and the map's items."""
         st = self._by_sigma.get(sigma_items)
         if st is None:
             st = self._merged(sigma_items)
@@ -976,29 +966,28 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     branch encodings; wrapped by :func:`saturate` and :mod:`.parallel`.
 
     One loop explores the tree for every engine.  The branch is the trail
-    ``order`` plus one membership structure, chosen by the policy: for
-    one that ``marks`` (keg), ``on``, flags indexed by literal integer
-    (see :func:`_marks`); otherwise the set ``bset``.  Adding a
-    literal appends it to the trail and sets its flag or adds it to the
-    set; undoing pops the trail and clears it.  At a split the loop
-    enters the fulfilling child and pushes the complement child on an
-    explicit stack as (trail length, equality count, resident count,
-    literal, cursor, depth, carried list); at a leaf it pops the next
-    entry, undoes the branch to the saved lengths and enters it.  An
-    engine is only its ``select`` policy: for the first instance (at or
-    after keg's cursor) that no branch literal discharges, its job index
-    and its unresolved disjuncts, those whose complement is not on the
-    branch; or ``None`` when every instance is discharged.  One
-    unresolved disjunct is eliminated, none closes the branch, and more
-    split on the first.
+    ``order`` plus one membership structure, chosen by the one policy flag
+    ``keg``: for keg, ``on``, flags indexed by literal integer (see
+    :func:`_marks`); for ke and foke, the set ``bset``.  Adding a literal
+    appends it to the trail and sets its flag or adds it to the set;
+    undoing pops the trail and clears it.  At a split the loop enters the
+    fulfilling child and pushes the complement child on an explicit stack
+    as (trail length, equality count, resident count, literal, cursor,
+    depth, carried list); at a leaf it pops the next entry, undoes the
+    branch to the saved lengths and enters it.  An engine is only its
+    ``select`` policy: for the first instance (at or after keg's cursor)
+    that no branch literal discharges, its job index and its unresolved
+    disjuncts, those whose complement is not on the branch; or ``None``
+    when every instance is discharged.  One unresolved disjunct is
+    eliminated, none closes the branch, and more split on the first.
 
-    A policy that ``resumes`` (keg) has its split carry the complement
-    child's unresolved list in the entry: the rest of the split's list
-    without any copy of the split literal, whose complement the child
-    adds.  The popped child acts on that list and does not select.  When
-    the added complement is itself a disjunct, the child discharges the
-    job, so the entry carries ``None`` and the next job as its cursor.
-    The other policies carry ``None`` and re-select in the child.
+    keg's split carries the complement child's unresolved list in the
+    entry: the rest of the split's list without any copy of the split
+    literal, whose complement the child adds.  The popped child acts on
+    that list and does not select.  When the added complement is itself
+    a disjunct, the child discharges the job, so the entry carries
+    ``None`` and the next job as its cursor.
+    ke and foke carry ``None`` and re-select in the child.
 
     keg enters a split's fulfilling child in the split itself, so it sees
     that child's first select.  When it gets ``None``, the split is a
@@ -1026,10 +1015,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
 
     ``script`` replays a fixed prefix of split decisions (0 = fulfilling
     child, 1 = complement child), such as a guiding path taken off
-    another run's stack (see :func:`_guiding_paths`); while replaying,
-    counters and leaves are only attributed to this run if the remaining
-    script is all zeros, so a partitioned parallel run counts every node
-    exactly once.  A replayed complement child has no entry and selects.
+    another run's stack (see :func:`_guiding_paths`).  The run counts
+    nothing until ``sp``, the decisions replayed, passes ``last_one``,
+    the index of the script's last 1, so a partitioned parallel run
+    counts every node exactly once.  A replayed complement child has no
+    entry and selects.
 
     A complete branch with an equality goes through the equality phase.
     It keeps the last merged leaf's rewrite of the trail, with the
@@ -1099,11 +1089,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     collected: List[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]] = []
 
     slen = len(script) if script else 0
-    suffix_zero = [True] * (slen + 1)
-    for i in range(slen - 1, -1, -1):
-        suffix_zero[i] = suffix_zero[i + 1] and script[i] == 0
+    last_one = slen - 1
+    while last_one >= 0 and not script[last_one]:
+        last_one -= 1
     sp = 0
-    counting = suffix_zero[0]
+    counting = last_one < 0
 
     max_branches = opts.max_branches
     timed = deadline is not None
@@ -1122,26 +1112,24 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
     # earlier job is discharged.  It resumes: a complement child's
     # unresolved list rides on its stack entry, and per job keg keeps the
     # literal that last discharged it, never a grounding (see
-    # _keg_select).  It tests literals one at a time, so it ``marks``
-    # the branch in ``on``, flags indexed by literal integer (a list of
-    # ``comp.nmarks``, or _SparseMarks past MARKS_CAP), and keeps no set.  ke and foke keep their
-    # instances as branch formulae and re-inspect them from the first at
-    # every step, a complement child included, filtering the selected one
-    # against the branch again: the cost the fused rule avoids.  They test
-    # a whole instance with one ``set.isdisjoint`` call, so the branch is
-    # the set ``bset`` for them.  Their cursor is never read.  foke parks
-    # the next job's instance on the branch when every resident is
-    # discharged, and residents pop on backtrack.
+    # _keg_select).  It tests literals one at a time, so it marks the
+    # branch in ``on``, flags indexed by literal integer (a list of
+    # ``comp.nmarks``, or _SparseMarks past MARKS_CAP), and keeps no set.
+    # ke and foke keep their instances as branch formulae and re-inspect
+    # them from the first at every step, a complement child included,
+    # filtering the selected one against the branch again: the cost the
+    # fused rule avoids.  They test a whole instance with one
+    # ``set.isdisjoint`` call, so the branch is the set ``bset`` for them.
+    # Their cursor is never read.  foke parks the next job's instance on
+    # the branch when every resident is discharged, and residents pop on
+    # backtrack.
     stack: List[Tuple[int, int, int, int, int, int, Optional[List[int]]]] = []
-    if engine == "keg":
+    keg = engine == "keg"
+    if keg:
         on = _marks(comp)
         select, watch = _keg_select(comp, on)
-        resumes = True
-        marks = True
     elif engine == "ke":
         instances = comp.instances
-        resumes = False
-        marks = False
 
         def select(j):
             for lits in instances:
@@ -1149,9 +1137,6 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     return j, [l for l in lits if (l ^ 1) not in bset]
             return None
     elif engine == "foke":
-        resumes = False
-        marks = False
-
         def select(j):
             while True:
                 for lits in resident:
@@ -1172,9 +1157,8 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
 
     # Root: the ground conjuncts.  A contradictory pair or a negated
     # trivial equality closes the single starting branch outright.
-    # keg marks each literal on its flags as it reads it.
     root_closed = False
-    if marks:
+    if keg:
         for l in comp.ground_lits:
             if on[l ^ 1] or (has_eq and l in neg_eq_diag):
                 root_closed = True
@@ -1334,7 +1318,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
             if not stack:
                 break
             so, se, sr, lit, j, depth, carried = stack.pop()
-            if marks:
+            if keg:
                 while len(order) > so:
                     on[order.pop()] = False
             else:
@@ -1356,7 +1340,7 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
                     leaf = True
                     continue
                 eqlits.append(divmod(lit >> 2, kdim))
-            if marks:
+            if keg:
                 on[lit] = True
             else:
                 bset.add(lit)
@@ -1394,11 +1378,11 @@ def _run(comp: CompiledKb, opts: EngineOptions, engine: str,
         if sp < slen:
             follow = script[sp]
             sp += 1
-            counting = suffix_zero[sp]
+            counting = sp > last_one
             if follow:
                 lit = bh ^ 1
                 continue
-        elif resumes:
+        elif keg:
             rest = missing[1:]
             if (bh ^ 1) in rest:
                 rest = None

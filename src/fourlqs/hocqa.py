@@ -65,9 +65,6 @@ class AnswerSet:
     def keys(self):
         return {a.key() for a in self.answers}
 
-    def bindings(self):
-        return [a.binding for a in self.answers]
-
     def __len__(self):
         return len(self.answers)
 

@@ -94,7 +94,16 @@ class OracleBounds:
     max_states: int = 2 ** 30
     max_candidates: int = 200_000
 
-    def check_kb(self, kb: KnowledgeBase) -> None:
+    def check_sizes(self, kb: KnowledgeBase) -> None:
+        """Refuse a KB with more individuals, set or relation variables
+        than the bounds allow.  A negative bound is a usage error, as a
+        negative limit is in ``EngineOptions.validate``."""
+        for name, bound in (("individual", self.max_individuals),
+                            ("set", self.max_set1),
+                            ("relation", self.max_set3)):
+            if bound < 0:
+                raise PreconditionError(f"{name} bound must be at least 0, "
+                                        f"got {bound}")
         k = len(kb.var0_order)
         n1 = len(kb.var1_order)
         n3 = len(kb.var3_order)
@@ -105,7 +114,12 @@ class OracleBounds:
             raise BoundsExceededError(
                 f"{n1} set and {n3} relation variables exceed the bounds "
                 f"{self.max_set1}/{self.max_set3}")
-        cells = k * n1 + k * k * n3
+
+    def check_kb(self, kb: KnowledgeBase) -> None:
+        """:meth:`check_sizes`, then the assignment space."""
+        self.check_sizes(kb)
+        k = len(kb.var0_order)
+        cells = k * len(kb.var1_order) + k * k * len(kb.var3_order)
         if 2 ** cells > self.max_states:
             raise BoundsExceededError(
                 f"assignment space 2^{cells} exceeds max_states")

@@ -426,23 +426,18 @@ def render_query(q: Query) -> str:
 
 def answer_to_jsonable(binding: Substitution, merges: Substitution) -> dict:
     """One answer as {"map0": .., "map1": .., "map3": .., "merges": ..}."""
-    return {
-        "map0": {k.name: v.name for k, v in sorted(
-            binding.map0.items(), key=lambda kv: kv[0].name)},
-        "map1": {k.name: v.name for k, v in sorted(
-            binding.map1.items(), key=lambda kv: kv[0].name)},
-        "map3": {k.name: v.name for k, v in sorted(
-            binding.map3.items(), key=lambda kv: kv[0].name)},
-        "merges": {k.name: v.name for k, v in sorted(
-            merges.map0.items(), key=lambda kv: kv[0].name)},
-    }
+    return {"map0": {k.name: v.name for k, v in binding.map0.items()},
+            "map1": {k.name: v.name for k, v in binding.map1.items()},
+            "map3": {k.name: v.name for k, v in binding.map3.items()},
+            "merges": {k.name: v.name for k, v in merges.map0.items()}}
 
 
 def render_answer_set(answers) -> str:
-    """AnswerSet JSON; answers sorted canonically for determinism."""
-    rows = [answer_to_jsonable(b, m) for b, m in answers]
-    rows.sort(key=lambda r: json.dumps(r, sort_keys=True))
-    return json.dumps({"answers": rows}, sort_keys=True)
+    """AnswerSet JSON; each row is dumped once with sorted keys, and the
+    rows are sorted by that text for determinism."""
+    rows = sorted([json.dumps(answer_to_jsonable(b, m), sort_keys=True)
+                   for b, m in answers])
+    return '{"answers": [' + ", ".join(rows) + "]}"
 
 
 def render_model_report(interp) -> str:

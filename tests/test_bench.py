@@ -58,6 +58,15 @@ class TestGenFamily:
         with pytest.raises(InvalidConfigError, match="repeated"):
             BenchConfig(engines=("keg", "ke", "keg")).validate()
 
+    @pytest.mark.parametrize("family", ["product-rule", "random"])
+    def test_at_most_eight_individuals(self, family):
+        """The random family draws from the same 8 names, so it is capped
+        where the product-rule family is, before any CSV row says 9."""
+        BenchConfig(family=family, individuals=8, seed=1).validate()
+        with pytest.raises(InvalidConfigError) as err:
+            BenchConfig(family=family, individuals=9, seed=1).validate()
+        assert str(err.value) == f"{family} family supports up to 8 individuals"
+
 
 class TestRandomGenerators:
     def test_kb_within_bounds(self):

@@ -302,6 +302,55 @@ class TestOracleCommands:
         assert oracle_out == engine_out
 
 
+class TestOracleBounds:
+    """Both oracle subcommands refuse a KB past the individual, set or
+    relation bound (exit 3, ``oracle check``'s message), and a negative
+    bound is a usage error (exit 2).  The assignment-space bound is
+    ``oracle check``'s only."""
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--max-individuals", "0"], 3, "2 individuals exceed the bound 0"),
+        (["--max-set1", "0"], 3,
+         "1 set and 0 relation variables exceed the bounds 0/2"),
+        (["--max-individuals", "-1"], 2,
+         "individual bound must be at least 0, got -1"),
+        (["--max-set1", "-1"], 2, "set bound must be at least 0, got -1"),
+        (["--max-set3", "-2"], 2,
+         "relation bound must be at least 0, got -2"),
+        (["--max-set3", "-1", "--max-individuals", "0"], 2,
+         "relation bound must be at least 0, got -1"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    @pytest.mark.parametrize("command", ["check", "answers"])
+    def test_refused(self, command, flags, code, message, tmp_path, capsys):
+        kb = tmp_path / "two.4lqs"
+        kb.write_text("lit (in a A)\nlit (in b A)\n")
+        q = tmp_path / "q.query"
+        q.write_text("(in ?x A)\n")
+        argv = ["oracle", command, str(kb), *flags]
+        if command == "answers":
+            argv += ["--q", str(q)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_answers_needs_no_state_space_bound(self, tmp_path, capsys):
+        """4 individuals, 3 sets and 2 relations are within the default
+        size bounds, but 2^44 assignments are past ``oracle check``'s."""
+        kb = tmp_path / "wide.4lqs"
+        kb.write_text("ind a b c d\nlit (in a A)\nlit (in b B)\n"
+                      "lit (in c C)\nlit (rel a b R)\nlit (rel c d S)\n")
+        q = tmp_path / "q.query"
+        q.write_text("(rel ?x ?y R)\n")
+        assert main(["oracle", "check", str(kb)]) == 3
+        assert capsys.readouterr().err == ("error: assignment space 2^44 "
+                                           "exceeds max_states\n")
+        assert main(["oracle", "answers", str(kb), "--q", str(q)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"answers": [
+            {"map0": {"?x": "a", "?y": "b"}, "map1": {}, "map3": {},
+             "merges": {}}]}
+
+
 class TestBench:
     def test_csv_to_stdout(self, capsys):
         assert main(["bench", "--individuals", "1", "--clauses", "1"]) == 0

@@ -980,6 +980,25 @@ class TestEqualityPhase:
         for x, cls in classes.items():
             assert sigma.get(x, x) == min(cls)
         assert all(x in classes and x != y for x, y in sigma.items())
+        # ModelBuilder._merged rewrites spec constants, whose quantified
+        # slots hold 0, through the map.
+        assert 0 not in sigma
+
+    def test_packed_individuals_are_fixed_points_of_their_map(self):
+        """ModelBuilder reads a packed branch's individuals as they are:
+        the equality phase rewrote every literal through the branch's
+        merge map, so each individual is a fixed point of that map."""
+        merged = 0
+        for kb in _equality_kbs():
+            res = saturate(kb)
+            fields = res.compiled.fields
+            for lit_ints, sigma_items in res.packed:
+                sigma = dict(sigma_items)
+                merged += bool(sigma)
+                for l in lit_ints:
+                    _, _, a, b = fields(l)
+                    assert sigma.get(a, a) == a and sigma.get(b, b) == b
+        assert merged > 20
 
 
 class TestModelLevelSoundness:

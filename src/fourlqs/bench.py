@@ -117,6 +117,9 @@ def gen_random_kb(rng: random.Random, max_individuals: int = 3,
     atoms (both polarities, including trivially true and trivially false
     ones) are drawn when allowed, so the merge machinery gets exercised.
     """
+    if max_individuals > len(_INDIVIDUALS):
+        raise InvalidConfigError(f"random KBs support up to "
+                                 f"{len(_INDIVIDUALS)} individuals")
     inds = list(_INDIVIDUALS[:rng.randint(1, max_individuals)])
     sets1 = list(_SET1_POOL[:rng.randint(1, max_set1)])
     sets3 = list(_SET3_POOL[:rng.randint(0, max_set3)])

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import traceback
 from pathlib import Path
 from typing import List, Optional
 
 from .bench import BenchConfig, run_bench
-from .core import FourlqsError
+from .core import (SORT0, SORT1, SORT3, FourlqsError, Substitution,
+                   Variable, substitution0, var0)
 from .dlfront import parse_dl, translate_kb
 from .engine import EngineOptions, ModelBuilder, ResourceLimitError, saturate
 from .hocqa import TaskArityError, answer, task_query
@@ -222,22 +222,16 @@ def _cmd_oracle(args) -> int:
     # what oracle check refuses, where a run could take minutes.
     bounds.check_sizes(kb)
     q = parse_query(_read(args.q), kb)
-    keys = sorted(brute_answers(kb, q, bounds))
-    sort_of = {}
-    for v in q.qvars0:
-        sort_of[v.name] = "map0"
-    for v in q.qvars1:
-        sort_of[v.name] = "map1"
-    for v in q.qvars3:
-        sort_of[v.name] = "map3"
-    rows = []
-    for binding, merges in keys:
-        row = {"map0": {}, "map1": {}, "map3": {},
-               "merges": {k: v for k, v in merges}}
+    qvars = {v.name: v for v in q.query_vars()}
+    answers = []
+    for binding, merges in brute_answers(kb, q, bounds):
+        maps = {SORT0: {}, SORT1: {}, SORT3: {}}
         for name, value in binding:
-            row[sort_of[name]][name] = value
-        rows.append(row)
-    print(json.dumps({"answers": rows}, sort_keys=True))
+            v = qvars[name]
+            maps[v.sort][v] = Variable(v.sort, value)
+        answers.append((Substitution(maps[SORT0], maps[SORT1], maps[SORT3]),
+                        substitution0({var0(a): var0(b) for a, b in merges})))
+    print(render_answer_set(answers))
     return 0
 
 

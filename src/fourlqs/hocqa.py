@@ -7,17 +7,18 @@ branch set's CompiledKb into an integer pattern (kind, polarity, and per
 slot a symbol, an individual or a query variable).
 
 The open branches are grouped by merge map, and each group's patterns
-have their individual constants rewritten through it.  The union of the
-group's literal integers is filtered once into the relevant literals:
-those that match some pattern on their own.  Only these can take part in
-a binding, so a branch's bindings depend only on its projection, the
-relevant literals it holds.  Each branch costs one set intersection, and
-a depth-first search runs once per distinct projection: it matches the
-leftmost remaining pattern -- building the candidate literals and testing
-membership when they are few, scanning the projection otherwise -- and a
-node with no remaining pattern records its binding.  Bindings are
-deduplicated as integer tuples per merge map, and only the unique answers
-are decoded.
+have their individual constants rewritten through it.  Matching is
+monotone in the literal set (Chandra & Merlin 1977): a binding under
+which every pattern occurs on a branch also has every pattern occur on
+any superset of the branch.  So a group is searched once, over the union
+of its branches' literals.  One pass over the union files each literal
+under every pattern it matches on its own, and a depth-first join over
+these candidates records each complete binding with its *image*: the
+literal each pattern takes under it.  A binding is an answer exactly
+when its image lies inside one branch, so one pass over the group's
+branches confirms the bindings whose image a branch contains, and stops
+once none is pending.  Bindings are integer tuples per merge map, and
+only the confirmed ones are decoded.
 
 The answer set is the deduplicated union over branches.  It depends only
 on the branch literal sets, so any of the three engines feeds it equally
@@ -27,7 +28,6 @@ permuting the conjuncts changes the search shape but not the set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,8 +89,10 @@ class _Plan:
     Query variables are numbered by first appearance (conjunct order,
     then slot order); a conjunct becomes a pattern ``(kind, neg, sym, a,
     b)`` whose slots hold a symbol or individual position, or ``~i`` for
-    query variable ``i``.  ``impossible`` marks a constant the KB does
-    not know, which no branch literal can match.
+    query variable ``i``.  Its entry in ``joins`` holds the variables an
+    earlier pattern binds and the range of those it binds first.
+    ``impossible`` marks a constant the KB does not know, which no branch
+    literal can match.
     """
 
     def __init__(self, q: Query, comp: CompiledKb):
@@ -118,17 +120,17 @@ class _Plan:
             return table[v]
 
         self.patterns = []
+        self.joins = []
         for c in q.conjuncts:
+            first = len(self.vars)
             kind, sym, a, b = _slots(c.atom)
             a_slot = slot(a, ind_ix)
             b_slot = slot(b, ind_ix)
             sym_slot = slot(sym, sym_ix)
             self.patterns.append((kind, 0 if c.positive else 1, sym_slot,
                                   a_slot, b_slot))
-        inds = range(len(comp.inds))
-        self.domains = [inds if v.sort == SORT0
-                        else range(1, 1 + n1) if v.sort == SORT1
-                        else range(1 + n1, comp.nsym) for v in self.vars]
+            bound = {~s for s in (sym_slot, a_slot, b_slot) if 0 <= ~s < first}
+            self.joins.append((sorted(bound), range(first, len(self.vars))))
 
     def merged(self, sigma_items: Tuple) -> List[Tuple]:
         """The patterns with their individual constants rewritten through
@@ -141,96 +143,57 @@ class _Plan:
                  b if b < 0 or kind == KIND_IN1 else sigma.get(b, b))
                 for kind, neg, sym, a, b in self.patterns]
 
-    def relevant(self, patterns: List[Tuple], lits) -> frozenset:
-        """The literals among ``lits`` that match some pattern on their
-        own: same polarity and kind, every constant slot equal, and one
-        value for a variable the pattern repeats.  No other literal can
-        take part in a binding."""
+    def search(self, patterns: List[Tuple],
+               lits) -> Dict[Tuple[int, ...], frozenset]:
+        """Every binding, as a tuple of values in variable order, under
+        which all patterns occur among ``lits``, mapped to its image.
+
+        One pass over ``lits`` files each literal under every pattern it
+        matches on its own (same polarity and kind, every constant slot
+        equal, one value for a variable the pattern repeats), keyed by
+        the values it gives the variables an earlier pattern binds.  The
+        join is depth first over an explicit stack whose entry ``i``
+        walks pattern ``i``'s candidates that agree with the bindings so
+        far, so a query's length is bounded by memory, not by the
+        recursion limit."""
+        if not patterns:
+            return {(): frozenset()}
         fields = self.comp.fields
-        keep = []
+        joins = self.joins
+        candidates: List[Dict] = [{} for _ in patterns]
         for l in lits:
-            lkind, *lvals = fields(l)
-            neg = l & 1
-            for kind, pneg, *slots in patterns:
-                if kind != lkind or pneg != neg:
+            lkind, *values = fields(l)
+            for i, (kind, neg, *slots) in enumerate(patterns):
+                if kind != lkind or neg != l & 1:
                     continue
                 env = {}
-                for s, v in zip(slots, lvals):
-                    if (s != v) if s >= 0 else (env.setdefault(s, v) != v):
+                for s, v in zip(slots, values):
+                    if (s != v) if s >= 0 else (env.setdefault(~s, v) != v):
                         break
                 else:
-                    keep.append(l)
-                    break
-        return frozenset(keep)
-
-    def search(self, patterns: List[Tuple], lits: frozenset,
-               out: set) -> None:
-        """Add to ``out`` every binding, as a tuple of values in variable
-        order, under which all patterns occur among ``lits``.
-
-        The search is depth first over an explicit stack whose entry
-        ``i`` is pattern ``i``'s candidate iterator, so a query's length
-        is bounded by memory, not by the recursion limit.  Each step of
-        an iterator binds the pattern's free variables to its next match;
-        an exhausted iterator has unbound them again."""
-        comp = self.comp
-        pack = comp.pack
-        domains = self.domains
-        env: List[Optional[int]] = [None] * len(self.vars)
+                    bound, fresh = joins[i]
+                    candidates[i].setdefault(
+                        tuple(env[x] for x in bound), []).append(
+                        (l, tuple(env[x] for x in fresh)))
+        out = {}
         npat = len(patterns)
-
-        def matches(i: int):
-            kind, neg, *slots = patterns[i]
-            values = [s if s >= 0 else env[~s] for s in slots]
-            free = list(dict.fromkeys(~s for s, v in zip(slots, values)
-                                      if v is None))
-            if not free:
-                if pack(kind, *values, neg) in lits:
-                    yield True
-                return
-            probes = 1
-            for x in free:
-                probes *= len(domains[x])
-            if probes <= len(lits):
-                # Few candidate literals: build each and test membership.
-                for combo in itertools.product(*(domains[x] for x in free)):
-                    for x, v in zip(free, combo):
-                        env[x] = v
-                    if pack(kind, *(s if s >= 0 else env[~s] for s in slots),
-                            neg) in lits:
-                        yield True
-            else:
-                # Many candidates: scan the literals instead.
-                for l in lits:
-                    if l & 1 != neg:
-                        continue
-                    lkind, *lvals = comp.fields(l)
-                    if lkind != kind:
-                        continue
-                    for x in free:
-                        env[x] = None
-                    for s, v in zip(slots, lvals):
-                        want = s if s >= 0 else env[~s]
-                        if want is None:
-                            env[~s] = v
-                        elif want != v:
-                            break
-                    else:
-                        yield True
-            for x in free:
-                env[x] = None
-
-        if not npat:
-            out.add(tuple(env))
-            return
-        stack = [matches(0)]
+        stack = [(iter(candidates[0].get((), ())), (), ())]
         while stack:
-            if not next(stack[-1], False):
+            it, env, image = stack[-1]
+            step = next(it, None)
+            if step is None:
                 stack.pop()
-            elif len(stack) == npat:
-                out.add(tuple(env))
+                continue
+            l, fresh = step
+            env += fresh
+            image += (l,)
+            i = len(stack)
+            if i == npat:
+                out[env] = frozenset(image)
             else:
-                stack.append(matches(len(stack)))
+                key = tuple(env[x] for x in joins[i][0])
+                stack.append((iter(candidates[i].get(key, ())), env, image))
+        return out
 
     def decode(self, values: Tuple[int, ...]) -> Substitution:
         comp = self.comp
@@ -262,18 +225,18 @@ def answer(q: Query, result: SaturationResult) -> AnswerSet:
         groups.setdefault(sigma_items, []).append(lit_ints)
     answers = []
     for sigma_items, branches in groups.items():
-        patterns = plan.merged(sigma_items)
-        relevant = plan.relevant(patterns, set().union(*branches))
-        if patterns and not relevant:
-            continue  # no literal of the group matches a conjunct
-        found = set()
-        # Bindings depend only on the literals that match a pattern, so
-        # one search per distinct projection finds them all.
-        for projection in set(map(relevant.intersection, branches)):
-            plan.search(patterns, projection, found)
+        pending = plan.search(plan.merged(sigma_items),
+                              set().union(*branches))
         merges = comp.merges(sigma_items)
-        answers.extend(Answer(binding=plan.decode(values), merges=merges)
-                       for values in found)
+        for branch in branches:
+            if not pending:
+                break
+            lits = set(branch)
+            for values in [values for values, image in pending.items()
+                           if image <= lits]:
+                del pending[values]
+                answers.append(Answer(binding=plan.decode(values),
+                                      merges=merges))
     answers.sort(key=Answer.key)
     return AnswerSet(tuple(answers))
 

@@ -81,6 +81,17 @@ class TestRandomGenerators:
                 assert 1 <= len(cl.quantified) <= 2
                 assert 1 <= len(cl.disjuncts) <= 4
 
+    def test_kb_at_most_eight_individuals(self):
+        """The generator draws from 8 names, so a larger bound is refused
+        rather than met with a smaller KB than asked for."""
+        rng = random.Random(2)
+        sizes = {len(parse_kb(gen_random_kb(rng, max_individuals=8))
+                     .var0_order) for _ in range(60)}
+        assert max(sizes) == 8
+        with pytest.raises(InvalidConfigError) as err:
+            gen_random_kb(rng, max_individuals=9)
+        assert str(err.value) == "random KBs support up to 8 individuals"
+
     def test_query_within_bounds(self):
         rng = random.Random(1)
         from fourlqs.syntax import parse_query

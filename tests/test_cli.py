@@ -17,7 +17,8 @@ from fourlqs import cli
 from fourlqs.bench import gen_random_kb
 from fourlqs.cli import main
 
-from conftest import CONTRADICTION_KB, DEEP_KB, ITALY_DL, ITALY_KB
+from conftest import (CONTRADICTION_KB, DEEP_KB, ITALY_DL, ITALY_KB,
+                      MERGE_KB)
 
 
 @pytest.fixture()
@@ -300,6 +301,30 @@ class TestOracleCommands:
                      "--json"]) == 0
         engine_out = json.loads(capsys.readouterr().out)
         assert oracle_out == engine_out
+
+
+    @pytest.mark.parametrize("kb_text, queries", [
+        (ITALY_KB, ["(rel Rome Italy ?r)", "(rel ?a ?b ?r)",
+                    "(not (rel ?a ?b locatedIn)) (rel ?a ?a ?r)", ""]),
+        (MERGE_KB, ["(in ?v A)", ""]),
+        # One branch merges b into a and one does not, so (in ?v A) has
+        # two answers that differ only in their merges.
+        ("ind a b\nlit (in a A)\nclause (forall z) (or (eq a b) (in b B))\n",
+         ["(in ?v A)", "(in ?v ?c)", "(not (eq ?v ?w))", ""]),
+    ], ids=["italy", "merge", "merged-and-not"])
+    def test_answers_bytes_equal_query_json(self, kb_text, queries, tmp_path,
+                                            capsys):
+        """``oracle answers`` and ``query --json`` print through one
+        renderer, so their bytes agree, row order included."""
+        kb = tmp_path / "kb.4lqs"
+        kb.write_text(kb_text)
+        q = tmp_path / "q.query"
+        for text in queries:
+            q.write_text(text + "\n")
+            assert main(["oracle", "answers", str(kb), "--q", str(q)]) == 0
+            oracle_out = capsys.readouterr().out
+            assert main(["query", str(kb), "--q", str(q), "--json"]) == 0
+            assert capsys.readouterr().out == oracle_out, text
 
 
 class TestOracleBounds:

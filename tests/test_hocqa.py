@@ -197,10 +197,8 @@ class TestAgreementSample:
         assert checked == 40
 
     def test_wide_kb_agrees_with_brute_force(self):
-        # Six individuals and few literals per branch: a conjunct with
-        # two free individual slots has more candidate literals than the
-        # branch has literals, so the matcher scans the branch instead of
-        # probing candidates.
+        # Six individuals and few literals per branch, a merge and a
+        # join on an individual and on a set.
         kb = parse_kb("ind a b c d e f\nlit (rel a b R)\nlit (eq c d)\n"
                       "clause (forall z1) (or (in z1 A) (rel z1 a R))\n")
         res = saturate(kb)
@@ -235,8 +233,9 @@ ONTOLOGY_QUERIES = ("(rel a ?x R)", "(in a ?c)", "(rel a b ?r)",
 
 
 class TestMatcherProperties:
-    """The projection matcher against ``oracle.brute_answers``, and its
-    independence of branch order and repetition."""
+    """The union search and image confirmation against
+    ``oracle.brute_answers``, and their independence of branch order and
+    repetition."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
@@ -265,51 +264,50 @@ class TestMatcherProperties:
         for t in (text, rnd.choice(ONTOLOGY_QUERIES)):
             _assert_matches_brute_force(kb, result, parse_query(t, kb), rnd)
 
-    def test_one_search_per_distinct_projection(self, monkeypatch):
-        kb = parse_kb(gen_family(BenchConfig(individuals=3, clauses=1))
-                      + "lit (not (in a A))\n")
-        result = saturate(kb)
-        assert result.open_count == 850
-        calls = []
-        real_search = _Plan.search
-
-        def counting_search(plan, patterns, lits, out):
-            calls.append(lits)
-            return real_search(plan, patterns, lits, out)
-
-        monkeypatch.setattr(_Plan, "search", counting_search)
-        # 3 and 82 distinct projections of the 850 branches; no branch
-        # holds a (rel a ...) literal, so the other two search nothing.
-        for text, searches in (("(rel a ?x P)", 0), ("(in a ?c)", 3),
-                               ("(rel a b ?r)", 0),
-                               ("(rel a ?y P) (in ?y ?c)", 82)):
-            calls.clear()
-            q = parse_query(text, kb)
-            assert answer(q, result).keys() == brute_answers(kb, q)
-            assert len(calls) == searches, text
-            assert len(set(calls)) == len(calls), text
-
-    def test_group_with_no_relevant_literal_is_not_searched(self,
-                                                            monkeypatch):
-        """A merge-map group none of whose literals matches a conjunct on
-        its own can bind nothing, so it is neither projected nor
-        searched; a query with no conjunct still binds once."""
+    def test_one_search_per_merge_map_group(self, monkeypatch):
+        """Each merge-map group is searched once, over its union, whatever
+        its branches hold, and so is each group for a query with no
+        conjunct."""
         family = parse_kb(gen_family(BenchConfig(individuals=3, clauses=1))
                           + "lit (not (in a A))\n")
         merged = parse_kb("ind a b\nlit (eq a b)\nlit (in a A)\n"
                           "lit (not (in b B))\n")
-        cases = [(family, "(rel a ?x P)"), (family, "(rel a b ?r)"),
-                 (merged, "(in ?v B)"), (merged, "(in ?v B) (in a B)")]
-        expected = [brute_answers(kb, parse_query(text, kb))
-                    for kb, text in cases]
-        results = {id(kb): saturate(kb) for kb in (family, merged)}
+        ontology = _ontology_kb()
+        results = {id(kb): saturate(kb) for kb in (family, merged, ontology)}
+        assert results[id(family)].open_count == 850
+        calls = []
+        real_search = _Plan.search
 
-        def no_search(plan, patterns, lits, out):
-            raise AssertionError("searched a group with no relevant literal")
+        def counting_search(plan, patterns, lits):
+            calls.append(patterns)
+            return real_search(plan, patterns, lits)
 
-        monkeypatch.setattr(_Plan, "search", no_search)
-        for (kb, text), want in zip(cases, expected):
-            got = answer(parse_query(text, kb), results[id(kb)])
-            assert got.answers == () and want == set(), text
-        with pytest.raises(AssertionError, match="no relevant literal"):
-            answer(parse_query("", merged), results[id(merged)])
+        monkeypatch.setattr(_Plan, "search", counting_search)
+        cases = [(family, text) for text in
+                 ("(rel a ?x P)", "(in a ?c)", "(rel a b ?r)",
+                  "(rel a ?y P) (in ?y ?c)", "")]
+        cases += [(merged, text) for text in
+                  ("(in ?v B)", "(in ?v B) (in a B)", "(in ?v A)", "")]
+        cases += [(ontology, text) for text in ONTOLOGY_QUERIES + ("",)]
+        for kb, text in cases:
+            result = results[id(kb)]
+            calls.clear()
+            q = parse_query(text, kb)
+            assert answer(q, result).keys() == brute_answers(kb, q), text
+            groups = {sigma for _, sigma in result.packed}
+            assert len(calls) == len(groups), text
+        assert len({sigma for _, sigma in results[id(ontology)].packed}) > 1
+
+    def test_binding_of_the_union_needs_one_branch(self):
+        """The union of a group's branches can bind what no single branch
+        does: here ``x=a, y=b`` takes ``(in a A)`` from one branch and
+        ``(in b B)`` from the other, so it is no answer."""
+        kb = parse_kb("ind a b\n"
+                      "clause (forall z) (or (in a A) (in b B))\n")
+        result = saturate(kb)
+        assert result.open_count == 2
+        for text, keys in (("(in ?x A) (in ?y B)", set()),
+                           ("(in ?x A)", {((("?x", "a"),), ())}),
+                           ("(in ?y B)", {((("?y", "b"),), ())})):
+            q = parse_query(text, kb)
+            assert answer(q, result).keys() == brute_answers(kb, q) == keys

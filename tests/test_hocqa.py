@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourlqs import parse_kb, parse_query, saturate, var0, var1, var3
+from fourlqs import (hocqa, parse_kb, parse_query, saturate, var0, var1,
+                     var3)
 from fourlqs.bench import (BenchConfig, gen_family, gen_random_kb,
                            gen_random_query)
 from fourlqs.core import Literal, Member1, Member3
@@ -264,10 +265,11 @@ class TestMatcherProperties:
         for t in (text, rnd.choice(ONTOLOGY_QUERIES)):
             _assert_matches_brute_force(kb, result, parse_query(t, kb), rnd)
 
-    def test_one_search_per_merge_map_group(self, monkeypatch):
-        """Each merge-map group is searched once, over its union, whatever
-        its branches hold, and so is each group for a query with no
-        conjunct."""
+    def test_one_search_per_distinct_projection(self, monkeypatch):
+        """The projection a search sees is a merge-map group's union under
+        its merge map.  Each group is searched once, whatever its branches
+        hold, so no two searches see the same projection; a query with no
+        conjunct also searches each group once."""
         family = parse_kb(gen_family(BenchConfig(individuals=3, clauses=1))
                           + "lit (not (in a A))\n")
         merged = parse_kb("ind a b\nlit (eq a b)\nlit (in a A)\n"
@@ -279,7 +281,7 @@ class TestMatcherProperties:
         real_search = _Plan.search
 
         def counting_search(plan, patterns, lits):
-            calls.append(patterns)
+            calls.append((tuple(patterns), frozenset(lits)))
             return real_search(plan, patterns, lits)
 
         monkeypatch.setattr(_Plan, "search", counting_search)
@@ -296,7 +298,54 @@ class TestMatcherProperties:
             assert answer(q, result).keys() == brute_answers(kb, q), text
             groups = {sigma for _, sigma in result.packed}
             assert len(calls) == len(groups), text
+            assert len(set(calls)) == len(calls), text
         assert len({sigma for _, sigma in results[id(ontology)].packed}) > 1
+
+    def test_group_with_no_relevant_literal_is_not_searched(self,
+                                                            monkeypatch):
+        """A merge-map group none of whose literals matches a conjunct on
+        its own has a candidate list that is empty, so its join yields no
+        binding and none of its branches is searched for an image; a
+        query with no conjunct binds once per group and confirms it on
+        the group's first branch."""
+        family = parse_kb(gen_family(BenchConfig(individuals=3, clauses=1))
+                          + "lit (not (in a A))\n")
+        merged = parse_kb("ind a b\nlit (eq a b)\nlit (in a A)\n"
+                          "lit (not (in b B))\n")
+        cases = [(family, "(rel a ?x P)"), (family, "(rel a b ?r)"),
+                 (merged, "(in ?v B)"), (merged, "(in ?v B) (in a B)")]
+        expected = [brute_answers(kb, parse_query(text, kb))
+                    for kb, text in cases]
+        results = {id(kb): saturate(kb) for kb in (family, merged)}
+        found, scanned = [], []
+        real_search = _Plan.search
+
+        def recording_search(plan, patterns, lits):
+            out = real_search(plan, patterns, lits)
+            found.append(dict(out))
+            return out
+
+        def counting_set(*args):
+            # ``set(branch)`` is the confirmation pass reading a branch;
+            # ``set()`` starts the group's union.
+            if args:
+                scanned.append(args[0])
+            return set(*args)
+
+        monkeypatch.setattr(_Plan, "search", recording_search)
+        monkeypatch.setattr(hocqa, "set", counting_set, raising=False)
+        for (kb, text), want in zip(cases, expected):
+            found.clear()
+            scanned.clear()
+            got = answer(parse_query(text, kb), results[id(kb)])
+            assert got.answers == () and want == set(), text
+            assert found and all(out == {} for out in found), text
+            assert scanned == [], text
+        found.clear()
+        got = answer(parse_query("", merged), results[id(merged)])
+        groups = {sigma for _, sigma in results[id(merged)].packed}
+        assert len(got) == len(found) == len(scanned) == len(groups)
+        assert all(out == {(): frozenset()} for out in found)
 
     def test_binding_of_the_union_needs_one_branch(self):
         """The union of a group's branches can bind what no single branch

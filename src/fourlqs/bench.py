@@ -55,7 +55,6 @@ class BenchConfig:
     repetitions: int = 1
     seed: Optional[int] = None
     ground: int = 4
-    parallel: bool = False
     workers: int = 1
 
     def validate(self) -> None:
@@ -262,8 +261,7 @@ def run_bench(cfg: BenchConfig, progress=None) -> BenchReport:
     cfg.validate()
     text = gen_family(cfg)
     kb = parse_kb(text)
-    opts = EngineOptions(collect_branches=False,
-                         workers=cfg.workers if cfg.parallel else 1)
+    opts = EngineOptions(collect_branches=False, workers=cfg.workers)
     report = BenchReport(config=cfg)
     counts: Dict[str, tuple] = {}
     for engine in cfg.engines:

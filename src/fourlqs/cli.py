@@ -5,7 +5,8 @@ models), ``query`` (HO conjunctive query answering), ``translate``
 (DL axioms to KB text), ``oracle`` (brute-force ground truth), ``bench``
 (three-engine comparison).  Exit codes: 0 success (and consistent, for
 check), 1 inconsistent, 2 usage or parse error, an input file that
-cannot be read as UTF-8 text or an output file that cannot be written,
+cannot be read as UTF-8 text or an output that cannot be written (an
+output file, or a standard output whose reader has closed it),
 3 resource limit, 4 internal error: an unexpected exception, reported
 as an ``internal error:`` line and its traceback on stderr, so that a
 crash is never read as a verdict.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -111,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv", type=Path, default=None)
     p.add_argument("--json-out", type=Path, default=None)
-    p.add_argument("--parallel", action="store_true",
-                   help="worker-parallel saturation; timings not comparable")
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=1,
+                   help="more than 1 runs each saturation forked; timings "
+                        "are then not comparable with serial ones")
     return parser
 
 
@@ -242,7 +244,7 @@ def _cmd_bench(args) -> int:
                       clauses=args.clauses, disjuncts=args.disjuncts,
                       quantifiers=args.quantifiers,
                       repetitions=args.repetitions, seed=args.seed,
-                      parallel=args.parallel, workers=args.workers)
+                      workers=args.workers)
     for path in (args.csv, args.json_out):
         if path:
             _write(path, "", mode="a")
@@ -271,20 +273,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = {"check": _cmd_check, "models": _cmd_models,
+               "query": _cmd_query, "translate": _cmd_translate,
+               "oracle": _cmd_oracle, "bench": _cmd_bench}[args.command]
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "models":
-            return _cmd_models(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        if args.command == "translate":
-            return _cmd_translate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        code = command(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError as err:
+        # Whatever is still buffered goes to os.devnull, so the
+        # interpreter's own flush at exit has nothing to report.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: stdout: {err.strerror}", file=sys.stderr)
+        return 2
     except (ResourceLimitError, BoundsExceededError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -295,7 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         traceback.print_exc()
         return 4
-    return 0
 
 
 if __name__ == "__main__":

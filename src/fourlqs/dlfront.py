@@ -25,10 +25,14 @@ keeps one sort across the file, and a mistake is a ``ParseError`` at
 its token.  Datatypes, cardinality bounds, nominals and Self are
 recognised and rejected.
 
-Boolean inclusions are put into clause form by distribution, without
-auxiliary names: the expressions stay small and fresh symbols would
-change the answer space of set-variable queries.  Quantified variables
-are freshly named across the whole translation.
+Every kind of axiom but a concept inclusion and a role chain reads its
+clause forms from one table, ``_CLAUSES``, and one loop instantiates
+them; a role chain's form is built from its length.  A Boolean
+inclusion is put into clause form in one pass that carries a polarity
+down the expression, by distribution, without auxiliary names: the
+expressions stay small and fresh symbols would change the answer space
+of set-variable queries.  Quantified variables are freshly named across
+the whole translation.
 """
 
 from __future__ import annotations
@@ -219,86 +223,45 @@ def parse_dl(text: str) -> List[DlAxiom]:
 
 
 # ---------------------------------------------------------------------------
-# Clause-form conversion for Boolean concept expressions
+# Clause forms
 # ---------------------------------------------------------------------------
 
-def _nnf(e: Cexpr, positive: bool):
-    """Negation normal form of ``e`` (negated when not ``positive``); a
-    recursive generator, run by :func:`_stackless`."""
+def _cnf(e: Cexpr, positive: bool):
+    """Clause list of ``e`` (negated when not ``positive``); literals are
+    (name, positive).  None encodes the constantly-false expression; an
+    empty list, true.  Negation is pushed to the names on the way down,
+    so one walk does the work of a negation normal form and a clause
+    form.  A recursive generator, run by :func:`_stackless`."""
     tag = e[0]
     if tag == "name":
-        return e if positive else ("not", e)
-    if tag == "top":
-        return ("top",) if positive else ("bot",)
-    if tag == "bot":
-        return ("bot",) if positive else ("top",)
+        return [[(e[1], positive)]]
+    if tag in ("top", "bot"):
+        return [] if (tag == "top") == positive else None
     if tag == "not":
-        return (yield _nnf(e[1], not positive))
-    if tag in ("and", "or"):
-        parts = []
-        for x in e[1]:
-            parts.append((yield _nnf(x, positive)))
-        if not positive:
-            tag = "or" if tag == "and" else "and"
-        return (tag, tuple(parts))
-    raise ValueError(f"bad concept expression {e!r}")
-
-
-def _cnf(e: Cexpr):
-    """Clause list of an NNF expression; literals are (name, positive).
-    None encodes the constantly-false expression; an empty list, true.
-    A recursive generator, run by :func:`_stackless`."""
-    tag = e[0]
-    if tag == "top":
-        return []
-    if tag == "bot":
-        return None
-    if tag == "name":
-        return [[(e[1], True)]]
-    if tag == "not":
-        return [[(e[1][1], False)]]
-    if tag == "and":
+        return (yield _cnf(e[1], not positive))
+    if tag not in ("and", "or"):
+        raise ValueError(f"bad concept expression {e!r}")
+    if (tag == "and") == positive:
         clauses: List[List[Tuple[str, bool]]] = []
         for part in e[1]:
-            sub = yield _cnf(part)
+            sub = yield _cnf(part, positive)
             if sub is None:
                 return None
             clauses.extend(sub)
         return clauses
-    if tag == "or":
-        subs = []
-        for part in e[1]:
-            sub = yield _cnf(part)
-            if sub is None:
-                continue  # false disjunct drops out
-            if not sub:
-                return []  # true disjunct makes the whole thing true
-            subs.append(sub)
-        if not subs:
-            return None
-        out = subs[0]
-        for sub in subs[1:]:
-            out = [c1 + c2 for c1 in out for c2 in sub]
-        return out
-    raise ValueError(f"bad concept expression {e!r}")
-
-
-def _simplify(clauses: List[List[Tuple[str, bool]]]):
-    """Drop duplicate literals and tautological clauses."""
-    out = []
-    for clause in clauses:
-        lits = []
-        seen = set()
-        taut = False
-        for name, pos in clause:
-            if (name, not pos) in seen:
-                taut = True
-                break
-            if (name, pos) not in seen:
-                seen.add((name, pos))
-                lits.append((name, pos))
-        if not taut:
-            out.append(lits)
+    subs = []
+    for part in e[1]:
+        sub = yield _cnf(part, positive)
+        if sub is None:
+            continue  # false disjunct drops out
+        if not sub:
+            return []  # true disjunct makes the whole thing true
+        subs.append(sub)
+    if not subs:
+        return None
+    out = subs[0]
+    for sub in subs[1:]:
+        out = [c1 + c2 for c1 in out for c2 in sub]
     return out
 
 
@@ -318,123 +281,102 @@ def _names_in(e: Cexpr) -> List[str]:
     return names
 
 
+# Axiom kind -> its clause forms.  A literal of a form is (polarity,
+# operand, slots).  The polarity None is the axiom's own: false for
+# nassert and nrole.  The operand is a concept ("c0", "c1"), a role
+# ("r0", "r1") or "=".  A slot is an individual operand ("i0", "i1") or
+# the index of a fresh variable of its clause; a form with no fresh
+# variable is a ground literal.
+_CLAUSES = {
+    "ConceptAssertion": (((None, "c0", ("i0",)),),),
+    "RoleAssertion": (((None, "r0", ("i0", "i1")),),),
+    "Agreement": (((True, "=", ("i0", "i1")),),),
+    "Disagreement": (((False, "=", ("i0", "i1")),),),
+    "RoleInclusion": (((False, "r0", (0, 1)), (True, "r1", (0, 1))),),
+    "Sym": (((False, "r0", (0, 1)), (True, "r0", (1, 0))),),
+    "Asym": (((False, "r0", (0, 1)), (False, "r0", (1, 0))),),
+    "Ref": (((True, "r0", (0, 0)),),),
+    "Irref": (((False, "r0", (0, 0)),),),
+    "Tra": (((False, "r0", (0, 1)), (False, "r0", (1, 2)),
+             (True, "r0", (0, 2))),),
+    "Dis": (((False, "r0", (0, 1)), (False, "r1", (0, 1))),),
+    "Fun": (((False, "r0", (0, 1)), (False, "r0", (0, 2)),
+             (True, "=", (1, 2))),),
+    "ConceptProduct": (((False, "r0", (0, 1)), (True, "c0", (0,))),
+                       ((False, "r0", (0, 1)), (True, "c1", (1,))),
+                       ((False, "c0", (0,)), (False, "c1", (1,)),
+                        (True, "r0", (0, 1)))),
+    "ExistsLhsInclusion": (((False, "r0", (0, 1)), (False, "c0", (1,)),
+                            (True, "c1", (0,))),),
+    "ValueRestriction": (((False, "c0", (0,)), (False, "r0", (0, 1)),
+                          (True, "c1", (1,))),),
+}
+
+
+def _inclusion(ax: DlAxiom, namer: _FreshNamer) -> List[UniversalClause]:
+    """A concept inclusion's clauses, by distribution over one fresh
+    quantified variable each; duplicate literals and tautologies drop
+    out."""
+    clauses = _stackless(_cnf(("or", (("not", ax.lhs), ax.rhs)), True))
+    if clauses is None:
+        # The inclusion is unsatisfiable over a nonempty domain; the
+        # clause form of falsity is (forall z) not (z = z).
+        z = namer.fresh()
+        return [UniversalClause((z,), (Literal(False, Eq(z, z)),))]
+    out = []
+    for clause in clauses:
+        lits = dict.fromkeys(clause)
+        if any((name, not pos) in lits for name, pos in lits):
+            continue
+        z = namer.fresh()
+        out.append(UniversalClause((z,), tuple(
+            Literal(pos, Member1(z, Variable(SORT1, name)))
+            for name, pos in lits)))
+    return out
+
+
 def translate_axiom(ax: DlAxiom, namer: Optional[_FreshNamer] = None
                     ) -> List[Union[Literal, UniversalClause]]:
     """Emit the conjuncts for one axiom.
 
     Concept and role names become set and relation variables; individual
     names become individual variables.  Concept inclusions are clausified
-    by distribution over one fresh quantified variable; every other kind
-    follows a fixed clause pattern with fresh quantified variables.
+    by :func:`_inclusion`; a role chain's form is built from its length,
+    and every other kind instantiates its forms in ``_CLAUSES``, each
+    with fresh quantified variables.
     """
     namer = namer or _FreshNamer()
-    ind = lambda n: Variable(SORT0, n)
-    con = lambda n: Variable(SORT1, n)
-    rol = lambda n: Variable(SORT3, n)
-
-    def member(z, c, pos=True):
-        return Literal(pos, Member1(z, con(c)))
-
-    def rel(za, zb, r, pos=True):
-        return Literal(pos, Member3(za, zb, rol(r)))
-
-    k = ax.kind
-    if k == "ConceptAssertion":
-        return [Literal(not ax.negated,
-                        Member1(ind(ax.individuals[0]), con(ax.concepts[0])))]
-    if k == "RoleAssertion":
-        return [Literal(not ax.negated,
-                        Member3(ind(ax.individuals[0]), ind(ax.individuals[1]),
-                                rol(ax.roles[0])))]
-    if k == "Agreement":
-        return [Literal(True, Eq(ind(ax.individuals[0]), ind(ax.individuals[1])))]
-    if k == "Disagreement":
-        return [Literal(False, Eq(ind(ax.individuals[0]), ind(ax.individuals[1])))]
-    if k == "ConceptInclusion":
-        body = _stackless(_nnf(("or", (("not", ax.lhs), ax.rhs)), True))
-        clauses = _stackless(_cnf(body))
-        if clauses is None:
-            # The inclusion is unsatisfiable over a nonempty domain; the
-            # clause form of falsity is (forall z) not (z = z).
-            z = namer.fresh()
-            return [UniversalClause((z,), (Literal(False, Eq(z, z)),))]
-        out = []
-        for clause in _simplify(clauses):
-            z = namer.fresh()
-            disjuncts = tuple(member(z, name, pos) for name, pos in clause)
-            if disjuncts:
-                out.append(UniversalClause((z,), disjuncts))
-        return out
-    if k == "RoleInclusion":
-        z1, z2 = namer.fresh(), namer.fresh()
-        return [UniversalClause((z1, z2), (rel(z1, z2, ax.roles[0], False),
-                                           rel(z1, z2, ax.roles[1])))]
-    if k == "RoleChainInclusion":
-        *body, sup = ax.roles
-        zs = [namer.fresh() for _ in range(len(body) + 1)]
-        disjuncts = [rel(zs[i], zs[i + 1], r, False) for i, r in enumerate(body)]
-        disjuncts.append(rel(zs[0], zs[-1], sup))
-        return [UniversalClause(tuple(zs), tuple(disjuncts))]
-    if k == "Sym":
-        z1, z2 = namer.fresh(), namer.fresh()
-        return [UniversalClause((z1, z2), (rel(z1, z2, ax.roles[0], False),
-                                           rel(z2, z1, ax.roles[0])))]
-    if k == "Asym":
-        z1, z2 = namer.fresh(), namer.fresh()
-        return [UniversalClause((z1, z2), (rel(z1, z2, ax.roles[0], False),
-                                           rel(z2, z1, ax.roles[0], False)))]
-    if k == "Ref":
-        z = namer.fresh()
-        return [UniversalClause((z,), (rel(z, z, ax.roles[0]),))]
-    if k == "Irref":
-        z = namer.fresh()
-        return [UniversalClause((z,), (rel(z, z, ax.roles[0], False),))]
-    if k == "Tra":
-        z1, z2, z3 = namer.fresh(), namer.fresh(), namer.fresh()
-        r = ax.roles[0]
-        return [UniversalClause((z1, z2, z3), (rel(z1, z2, r, False),
-                                               rel(z2, z3, r, False),
-                                               rel(z1, z3, r)))]
-    if k == "Dis":
-        z1, z2 = namer.fresh(), namer.fresh()
-        return [UniversalClause((z1, z2), (rel(z1, z2, ax.roles[0], False),
-                                           rel(z1, z2, ax.roles[1], False)))]
-    if k == "Fun":
-        z1, z2, z3 = namer.fresh(), namer.fresh(), namer.fresh()
-        r = ax.roles[0]
-        return [UniversalClause((z1, z2, z3), (rel(z1, z2, r, False),
-                                               rel(z1, z3, r, False),
-                                               Literal(True, Eq(z2, z3))))]
-    if k == "ConceptProduct":
-        r = ax.roles[0]
-        c1, c2 = ax.concepts
-        out = []
-        z1, z2 = namer.fresh(), namer.fresh()
-        out.append(UniversalClause((z1, z2), (rel(z1, z2, r, False),
-                                              member(z1, c1))))
-        z1, z2 = namer.fresh(), namer.fresh()
-        out.append(UniversalClause((z1, z2), (rel(z1, z2, r, False),
-                                              member(z2, c2))))
-        z1, z2 = namer.fresh(), namer.fresh()
-        out.append(UniversalClause((z1, z2), (member(z1, c1, False),
-                                              member(z2, c2, False),
-                                              rel(z1, z2, r))))
-        return out
-    if k == "ExistsLhsInclusion":
-        z1, z2 = namer.fresh(), namer.fresh()
-        r = ax.roles[0]
-        c1, c2 = ax.concepts
-        return [UniversalClause((z1, z2), (rel(z1, z2, r, False),
-                                           member(z2, c1, False),
-                                           member(z1, c2)))]
-    if k == "ValueRestriction":
-        z1, z2 = namer.fresh(), namer.fresh()
-        r = ax.roles[0]
-        c1, c2 = ax.concepts
-        return [UniversalClause((z1, z2), (member(z1, c1, False),
-                                           rel(z1, z2, r, False),
-                                           member(z2, c2)))]
-    raise UnsupportedAxiomError(f"axiom kind {k!r} is not supported")
+    if ax.kind == "ConceptInclusion":
+        return _inclusion(ax, namer)
+    names = {f"{slot}{n}": name for slot, group in
+             (("i", ax.individuals), ("r", ax.roles), ("c", ax.concepts))
+             for n, name in enumerate(group)}
+    if ax.kind == "RoleChainInclusion":
+        last = len(ax.roles) - 1
+        forms = ((*((False, f"r{i}", (i, i + 1)) for i in range(last)),
+                  (True, f"r{last}", (0, last))),)
+    else:
+        forms = _CLAUSES.get(ax.kind)
+    if forms is None:
+        raise UnsupportedAxiomError(f"axiom kind {ax.kind!r} is not supported")
+    out = []
+    for form in forms:
+        width = max((s + 1 for *_, slots in form for s in slots
+                     if isinstance(s, int)), default=0)
+        zs = [namer.fresh() for _ in range(width)]
+        lits = []
+        for pos, op, slots in form:
+            args = [zs[s] if isinstance(s, int) else Variable(SORT0, names[s])
+                    for s in slots]
+            if op == "=":
+                atom = Eq(*args)
+            elif op[0] == "c":
+                atom = Member1(*args, Variable(SORT1, names[op]))
+            else:
+                atom = Member3(*args, Variable(SORT3, names[op]))
+            lits.append(Literal(not ax.negated if pos is None else pos, atom))
+        out.append(UniversalClause(tuple(zs), tuple(lits)) if zs else lits[0])
+    return out
 
 
 def translate_kb(axioms: Sequence[DlAxiom]) -> KnowledgeBase:

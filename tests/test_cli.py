@@ -6,6 +6,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from typing import Tuple
 from unittest import mock
@@ -13,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from fourlqs import cli
+from fourlqs import bench, cli
 from fourlqs.bench import gen_random_kb
 from fourlqs.cli import main
 
@@ -117,7 +119,7 @@ class TestLimitValues:
         (["query", "{kb}", "--q", "{q}", "--max-branches", "-1"], 2),
         (["query", "{kb}", "--q", "{q}", "--max-seconds", "nan"], 2),
         (["query", "{kb}", "--q", "{q}", "--workers", "-3"], 2),
-        (["bench", "--individuals", "1", "--parallel", "--workers", "-3"], 2),
+        (["bench", "--individuals", "1", "--workers", "-3"], 2),
         (["bench", "--individuals", "1", "--engines", ","], 2),
         (["bench", "--individuals", "1", "--engines", "keg,keg"], 2),
         (["check", "{kb}", "--max-branches", "0"], 3),
@@ -177,6 +179,35 @@ class TestInternalError:
         assert first == "internal error: RuntimeError: boom"
         assert rest.startswith("Traceback (most recent call last):")
         assert rest.endswith("RuntimeError: boom\n")
+
+
+class TestClosedStdout:
+    """A standard output whose reader has closed it is an output that
+    cannot be written: exit 2 and one ``error:`` line, with no traceback
+    and no complaint from the interpreter as it exits."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{kb}"], ["models", "{kb}"], ["query", "{kb}", "--q", "{q}"],
+        ["translate", "{dl}"],
+    ], ids=["check", "models", "query --q", "translate"])
+    def test_exit_2_and_one_error_line(self, argv, italy_file, query_file,
+                                       tmp_path):
+        dl = tmp_path / "kb.dl"
+        dl.write_text(ITALY_DL)
+        argv = [a.format(kb=italy_file, q=query_file, dl=dl) for a in argv]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "fourlqs", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr == "error: stdout: Broken pipe\n"
 
 
 class TestLongQuery:
@@ -271,6 +302,57 @@ class TestModels:
             assert report["domain"] == ["Italy", "Rome"]
 
 
+_EVERY_KEYWORD_DL = """\
+assert a A
+nassert b B
+role a b R
+nrole b a S
+eq a c
+neq b c
+subsume top (or A (not B) bot)
+subsume (and A B) bot
+subsume (not (and A (or B (not C)))) (or (and C D) (not A))
+rsub R S
+chain R S T U
+sym R
+asym S
+ref T
+irref U
+tra R
+dis R U
+fun S
+product P A B
+some R C D
+all A S B
+"""
+_EVERY_KEYWORD_KB = """\
+ind a b c
+lit (in a A)
+lit (not (in b B))
+lit (rel a b R)
+lit (not (rel b a S))
+lit (eq a c)
+lit (not (eq b c))
+clause (forall z1) (or (in z1 A) (not (in z1 B)))
+clause (forall z2) (or (not (in z2 A)) (not (in z2 B)))
+clause (forall z3) (or (in z3 B) (not (in z3 C)) (in z3 D) (not (in z3 A)))
+clause (forall z4 z5) (or (not (rel z4 z5 R)) (rel z4 z5 S))
+clause (forall z6 z7 z8 z9) (or (not (rel z6 z7 R)) (not (rel z7 z8 S)) (not (rel z8 z9 T)) (rel z6 z9 U))
+clause (forall z10 z11) (or (not (rel z10 z11 R)) (rel z11 z10 R))
+clause (forall z12 z13) (or (not (rel z12 z13 S)) (not (rel z13 z12 S)))
+clause (forall z14) (or (rel z14 z14 T))
+clause (forall z15) (or (not (rel z15 z15 U)))
+clause (forall z16 z17 z18) (or (not (rel z16 z17 R)) (not (rel z17 z18 R)) (rel z16 z18 R))
+clause (forall z19 z20) (or (not (rel z19 z20 R)) (not (rel z19 z20 U)))
+clause (forall z21 z22 z23) (or (not (rel z21 z22 S)) (not (rel z21 z23 S)) (eq z22 z23))
+clause (forall z24 z25) (or (not (rel z24 z25 P)) (in z24 A))
+clause (forall z26 z27) (or (not (rel z26 z27 P)) (in z27 B))
+clause (forall z28 z29) (or (not (in z28 A)) (not (in z29 B)) (rel z28 z29 P))
+clause (forall z30 z31) (or (not (rel z30 z31 R)) (not (in z31 C)) (in z30 D))
+clause (forall z32 z33) (or (not (in z32 A)) (not (rel z32 z33 S)) (in z33 B))
+"""
+
+
 class TestTranslate:
     def test_pipeline(self, tmp_path, capsys):
         ax = tmp_path / "kb.dl"
@@ -281,6 +363,16 @@ class TestTranslate:
         out.write_text(text)
         assert main(["check", str(out)]) == 0
         assert "consistent, 2 open branches" in capsys.readouterr().out
+
+    def test_every_keyword_golden_bytes(self, tmp_path, capsys):
+        """The exact text of every keyword's clause forms: their disjunct
+        order, their fresh variables and the symbol order."""
+        ax = tmp_path / "every.dl"
+        ax.write_text(_EVERY_KEYWORD_DL)
+        assert main(["translate", str(ax)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == _EVERY_KEYWORD_KB
+        assert captured.err == ""
 
     def test_unsupported_axiom(self, tmp_path):
         ax = tmp_path / "kb.dl"
@@ -393,6 +485,22 @@ class TestBench:
         rows = json.loads(json_path.read_text())["rows"]
         assert {r["engine"] for r in rows} == {"keg", "ke"}
         assert csv_path.read_text().startswith("engine,")
+
+    @pytest.mark.parametrize("flags, workers", [([], 1), (["--workers", "2"], 2)])
+    def test_workers_reach_saturate(self, flags, workers, monkeypatch,
+                                    capsys):
+        """More than one worker is a forked run, with no second flag."""
+        seen = []
+        real = bench.saturate
+
+        def spy(kb, opts, engine):
+            seen.append(opts.workers)
+            return real(kb, opts, engine=engine)
+
+        monkeypatch.setattr(bench, "saturate", spy)
+        assert main(["bench", "--individuals", "1", "--engines", "keg",
+                     *flags]) == 0
+        assert seen == [workers]
 
     @pytest.mark.parametrize("flag", ["--csv", "--json-out"])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
